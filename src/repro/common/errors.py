@@ -12,6 +12,12 @@ class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration value is out of its valid range; the message
+    names the field.  Subclasses :class:`ValueError` so callers that
+    catch the builtin keep working."""
+
+
 class BitmapError(ReproError):
     """Inconsistent bitmap operation (double allocate / double free)."""
 

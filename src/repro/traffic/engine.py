@@ -52,6 +52,7 @@ import numpy as np
 
 from .. import obs
 from ..common.config import TrafficConfig
+from ..common.errors import ConfigError
 from ..fs.cp import CPBatch
 from ..sim.stats import CPStats
 from ..workloads.mixes import OpMix
@@ -76,6 +77,13 @@ class TenantSpec:
     qos: QosLimits | None = None
     #: Bounded admission queue (None = unbounded open-loop queue).
     queue_depth: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.queue_depth is not None and self.queue_depth < 1:
+            raise ConfigError(
+                f"TenantSpec.queue_depth must be None or at least 1, "
+                f"got {self.queue_depth!r}"
+            )
 
 
 @dataclass
@@ -131,6 +139,32 @@ class TrafficResult:
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
+class _Chunk:
+    """One tenant's riders of one CP, awaiting backend service.
+
+    Every op of a CP shares that CP's occupancy and latency, so they
+    are two scalars.  The per-op admit and arrival times stay arrays
+    for the bulk rounds; the contended interleave reads them as Python
+    lists, converted once when it first reaches the chunk.
+    """
+
+    __slots__ = ("arrival", "admit", "occ", "lat", "_lists")
+
+    def __init__(self, arrival: np.ndarray, admit: np.ndarray,
+                 occ: float, lat: float) -> None:
+        self.arrival = arrival
+        self.admit = admit
+        self.occ = float(occ)
+        self.lat = float(lat)
+        self._lists: tuple[list[float], list[float]] | None = None
+
+    def lists(self) -> tuple[list[float], list[float]]:
+        """``(admits, arrivals)`` as Python float lists."""
+        if self._lists is None:
+            self._lists = (self.admit.tolist(), self.arrival.tolist())
+        return self._lists
+
+
 class _TenantState:
     """Mutable per-tenant run state (admission + measurement).
 
@@ -139,10 +173,10 @@ class _TenantState:
     reference pipeline for the identity tests); the vectorized mode
     keeps the same quantities as arrays
     — chunk lists for measurements, ``(arrival, admit)`` array pairs
-    for the deferred queue, and consolidated arrays with a head cursor
-    for the backend queue.  The ``*_array`` / ``*_count`` accessors
-    below give mode-independent views, so the measurement code reads
-    one shape regardless of which pipeline produced it.
+    for the deferred queue, and a FIFO of per-CP :class:`_Chunk` s with
+    a head cursor for the backend queue.  The ``*_array`` / ``*_count``
+    accessors below give mode-independent views, so the measurement
+    code reads one shape regardless of which pipeline produced it.
     """
 
     def __init__(self, spec: TenantSpec) -> None:
@@ -176,15 +210,11 @@ class _TenantState:
         self.latency_chunks: list[np.ndarray] = []
         #: Admitted-not-yet-ridden (arrival, admit) array pairs, FIFO.
         self.deferred_arrays: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        #: CP chunks not yet folded into the consolidated queue below.
-        self.backend_chunks: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-        #: Consolidated backend queue (arrival/admit/occupancy/latency
-        #: per op) with ``q_head`` ops already served.
-        self.q_arrival = _EMPTY
-        self.q_admit = _EMPTY
-        self.q_occ = _EMPTY
-        self.q_lat = _EMPTY
-        self.q_head = 0
+        #: Backend queue: the CP chunks this tenant's ops rode, in order,
+        #: with ``head`` ops of the front chunk already served.  Every
+        #: chunk in the FIFO has at least one op left.
+        self.backlog: deque[_Chunk] = deque()
+        self.head = 0
 
     def take_riders(self, before_us: float) -> list[tuple[float, float]]:
         """Admitted ops whose admission time falls before ``before_us``
@@ -218,27 +248,6 @@ class _TenantState:
             return ts_parts[0], adm_parts[0]
         return np.concatenate(ts_parts), np.concatenate(adm_parts)
 
-    def consolidate_backend(self) -> None:
-        """Fold freshly ridden CP chunks into the consolidated queue,
-        dropping the already-served prefix."""
-        if not self.backend_chunks:
-            return
-        arrs = [self.q_arrival[self.q_head:]]
-        adms = [self.q_admit[self.q_head:]]
-        occs = [self.q_occ[self.q_head:]]
-        lats = [self.q_lat[self.q_head:]]
-        for ts, adm, s_occ, s_lat in self.backend_chunks:
-            arrs.append(ts)
-            adms.append(adm)
-            occs.append(np.full(ts.size, s_occ))
-            lats.append(np.full(ts.size, s_lat))
-        self.backend_chunks = []
-        self.q_arrival = np.concatenate(arrs)
-        self.q_admit = np.concatenate(adms)
-        self.q_occ = np.concatenate(occs)
-        self.q_lat = np.concatenate(lats)
-        self.q_head = 0
-
     # ---- mode-independent measurement accessors ----------------------
     def _gather(self, chunks: list[np.ndarray], scalars: list[float]) -> np.ndarray:
         if chunks:
@@ -269,8 +278,8 @@ class _TenantState:
 
     def backend_pending(self) -> int:
         """Ops ridden into a CP but not yet served, either mode."""
-        pending = len(self.backend) + (self.q_admit.size - self.q_head)
-        return pending + sum(ts.size for ts, _, _, _ in self.backend_chunks)
+        queued = sum(c.admit.size for c in self.backlog) - self.head
+        return len(self.backend) + queued
 
 
 class TrafficEngine:
@@ -480,35 +489,43 @@ class TrafficEngine:
             st.latency_us.append(complete - arrival)
 
     def _drain_vec(self, until_us: float) -> None:
-        """Batched :meth:`_drain` over the consolidated backend arrays.
+        """Batched :meth:`_drain` over the per-tenant chunk FIFOs.
 
         The SFQ pick is data-dependent — each newly admitted op can
         preempt a backlogged neighbor the moment the serve clock passes
         its admission — so a fully batched multi-tenant serve would be
         cut at every admission boundary and degenerate to tiny NumPy
-        calls.  The split that pays: whenever exactly ONE tenant has
-        pending ops, whole stretches collapse to array chains (FIFO
-        order, no preemption possible), and the multi-tenant interleave
-        runs a tight buffered scalar loop over the arrays.
+        calls.  Two regimes instead:
 
-        The bulk round reproduces the scalar recurrence exactly: serve
-        starts are ``np.add.accumulate`` over occupancies from ``t0 =
-        max(server_free, head admit)`` (the scalar left-to-right
-        addition chain), valid while ``start >= admit`` elementwise —
-        the first violation is where the scalar server would go idle
-        and lift the clock, so the round is cut there and the next
-        round re-lifts ``t0`` the same way.  SFQ tags chain through
-        ``max(vfinish, vtime)`` only at round entry (mid-round the
-        virtual time equals the tenant's own last tag, so the lift
-        never fires).  Cutting a round early is always exact — the
-        next round continues the identical recurrence — which also
-        lets the round length be capped for O(n) total work.  Every
-        float is produced by the same operation on the same operands
-        as the scalar path, so results are bit-identical.
+        * **Bulk rounds** when exactly ONE tenant has pending ops: no
+          preemption is possible, so the rest of its front chunk
+          collapses to array chains.  Serve starts are
+          ``np.add.accumulate`` over occupancies from ``t0 =
+          max(server_free, head admit)`` (the scalar left-to-right
+          addition chain), valid while ``start >= admit`` elementwise —
+          the first violation is where the scalar server would go idle
+          and lift the clock, so the round is cut there and the next
+          round re-lifts ``t0`` the same way.  SFQ tags chain through
+          ``max(vfinish, vtime)`` only at round entry (mid-round the
+          virtual time equals the tenant's own last tag, so the lift
+          never fires).
+        * **Contended interleave** otherwise: the scalar SFQ pick over
+          plain floats, after which the picked tenant ``p`` keeps
+          serving in a *run* while its head admit ``<=`` the server
+          clock (so the next scalar ``t`` is the clock itself), the
+          clock is below ``until_us`` and below every ineligible head
+          admit (so the eligible set is unchanged), and ``p``'s tag is
+          below every other eligible tenant's ``vfinish`` (a lower
+          bound of its tag, so ``p`` strictly wins the next pick).
+          Any other case falls back to the full pick.
+
+        Cutting a round or a run early is always exact — the next one
+        continues the identical recurrence — which also lets rounds be
+        capped for O(n) total work.  Every float is produced by the
+        same operation on the same operands as the scalar path, so
+        results are bit-identical.
         """
         states = self.states
-        for st in states:
-            st.consolidate_backend()
         nstates = len(states)
         comp_buf: list[list[float]] = [[] for _ in states]
         lat_buf: list[list[float]] = [[] for _ in states]
@@ -525,16 +542,15 @@ class TrafficEngine:
                 lat_buf[k] = []
 
         while True:
-            pending = [
-                k for k, st in enumerate(states) if st.q_head < st.q_admit.size
-            ]
+            pending = [k for k, st in enumerate(states) if st.backlog]
             if not pending:
                 break
             if len(pending) == 1:
                 k = pending[0]
                 st = states[k]
-                h = st.q_head
-                first = float(st.q_admit[h])
+                c = st.backlog[0]
+                h = st.head
+                first = float(c.admit[h])
                 t0 = (
                     self._server_free_us
                     if self._server_free_us > first
@@ -542,52 +558,48 @@ class TrafficEngine:
                 )
                 if t0 >= until_us:
                     break
-                occ0 = float(st.q_occ[h])
-                limit = st.q_admit.size - h
-                if occ0 > 0.0:
-                    cap = int((until_us - t0) / occ0) + 2
+                limit = c.admit.size - h
+                if c.occ > 0.0:
+                    cap = int((until_us - t0) / c.occ) + 2
                     if cap < limit:
                         limit = cap
-                admits = st.q_admit[h:h + limit]
-                occs = st.q_occ[h:h + limit]
+                admits = c.admit[h:h + limit]
+                occs = np.full(limit, c.occ)
                 tacc = np.add.accumulate(np.concatenate(([t0], occs)))
                 starts = tacc[:-1]
                 ok = (starts < until_us) & (starts >= admits)
                 m = int(starts.size) if bool(ok.all()) else int(np.argmax(~ok))
                 flush(k)
-                completes = starts[:m] + st.q_lat[h:h + m]
+                completes = starts[:m] + c.lat
                 st.complete_chunks.append(completes)
-                st.latency_chunks.append(completes - st.q_arrival[h:h + m])
+                st.latency_chunks.append(completes - c.arrival[h:h + m])
                 start = st.vfinish if st.vfinish > self._vtime else self._vtime
                 acc = np.add.accumulate(np.concatenate(([start], occs[:m])))
-                st.q_head = h + m
                 st.vfinish = float(acc[m])
                 self._vtime = float(acc[m - 1])
                 self._server_free_us = float(tacc[m])
+                st.head = h + m
+                if st.head == c.admit.size:
+                    st.backlog.popleft()
+                    st.head = 0
                 continue
-            # Multi-tenant interleave: op-by-op, plain floats, local
-            # cursors, buffered output — the scalar algorithm verbatim.
-            # Head admits are cached as Python floats (INF = drained)
-            # so the per-op scan never touches the arrays.
+            # Contended interleave over plain floats and local cursors,
+            # front chunks read as lists.  Head admits are cached (INF =
+            # drained) so the per-op scan never touches a chunk.
             inf = float("inf")
             vt = self._vtime
             free = self._server_free_us
-            qa = [st.q_admit for st in states]
-            qo = [st.q_occ for st in states]
-            ql = [st.q_lat for st in states]
-            qr = [st.q_arrival for st in states]
-            hs = [st.q_head for st in states]
-            ns = [a.size for a in qa]
             vf = [st.vfinish for st in states]
-            ha = [
-                float(qa[k][hs[k]]) if hs[k] < ns[k] else inf
-                for k in range(nstates)
-            ]
+            hs = [st.head for st in states]
+            ha = [inf] * nstates
+            al: list[list[float]] = [[] for _ in states]
+            rl: list[list[float]] = [[] for _ in states]
+            for k in pending:
+                al[k], rl[k] = states[k].backlog[0].lists()
+                ha[k] = al[k][hs[k]]
             hit_until = False
             while True:
                 min_admit = min(ha)
-                if min_admit == inf:
-                    break
                 t = free if free > min_admit else min_admit
                 if t >= until_us:
                     hit_until = True
@@ -601,26 +613,63 @@ class TrafficEngine:
                     if pick < 0 or tag < pick_tag:
                         pick = k
                         pick_tag = tag
-                hk = hs[pick]
-                s_occ = float(qo[pick][hk])
-                complete = t + float(ql[pick][hk])
-                vt = pick_tag
-                vf[pick] = pick_tag + s_occ
-                free = t + s_occ
-                comp_buf[pick].append(complete)
-                lat_buf[pick].append(complete - float(qr[pick][hk]))
-                hk += 1
-                hs[pick] = hk
-                if hk == ns[pick]:
+                # Run bounds: the earliest ineligible head admit and the
+                # smallest vfinish among the other eligible tenants.
+                stop = until_us
+                rival = inf
+                for k in range(nstates):
+                    if k == pick:
+                        continue
+                    if ha[k] > t:
+                        if ha[k] < stop:
+                            stop = ha[k]
+                    elif vf[k] < rival:
+                        rival = vf[k]
+                st = states[pick]
+                c = st.backlog[0]
+                occ = c.occ
+                lat = c.lat
+                a_l = al[pick]
+                r_l = rl[pick]
+                n = len(a_l)
+                cb = comp_buf[pick]
+                lb = lat_buf[pick]
+                h = hs[pick]
+                tag = pick_tag
+                while True:
+                    complete = t + lat
+                    vt = tag
+                    vfp = tag + occ
+                    free = t + occ
+                    cb.append(complete)
+                    lb.append(complete - r_l[h])
+                    h += 1
+                    if h == n or a_l[h] > free:
+                        break
+                    t = free
+                    if t >= stop:
+                        break
+                    tag = vfp if vfp > vt else vt
+                    if tag >= rival:
+                        break
+                vf[pick] = vfp
+                if h < n:
+                    hs[pick] = h
+                    ha[pick] = a_l[h]
+                    continue
+                st.backlog.popleft()
+                hs[pick] = 0
+                if not st.backlog:
                     ha[pick] = inf
                     break  # a queue drained: the bulk path may apply now
-                ha[pick] = float(qa[pick][hk])
+                al[pick], rl[pick] = st.backlog[0].lists()
+                ha[pick] = al[pick][0]
             self._vtime = vt
             self._server_free_us = free
             for k, st in enumerate(states):
-                st.q_head = hs[k]
+                st.head = hs[k]
                 st.vfinish = vf[k]
-            if hit_until or min_admit == inf:
+            if hit_until:
                 break
         for k in range(nstates):
             flush(k)
@@ -770,7 +819,7 @@ class TrafficEngine:
             st = self.states[i]
             st.charged_cpu_us += stats.cpu_us * share
             st.charged_device_us += stats.device_busy_us * share
-            st.backend_chunks.append((ts, adm, s_occ, s_lat))
+            st.backlog.append(_Chunk(ts, adm, s_occ, s_lat))
         self._drain_vec(window_end)
         self._cp_count += 1
         return stats

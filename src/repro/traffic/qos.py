@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..common.errors import ConfigError
+
 __all__ = ["TokenBucket", "QosLimits"]
 
 
@@ -83,6 +85,12 @@ class QosLimits:
     iops_burst: float = 64.0
     dirty_blocks_per_s: float | None = None
     dirty_burst_blocks: float = 256.0
+
+    def __post_init__(self) -> None:
+        for name in ("iops", "iops_burst", "dirty_blocks_per_s", "dirty_burst_blocks"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"QosLimits.{name} must be positive, got {value!r}")
 
     def make_buckets(self) -> list[tuple[TokenBucket, str]]:
         """Instantiate the configured buckets, tagged by dimension

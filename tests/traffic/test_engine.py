@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.traffic import (
     PoissonArrivals,
     QosLimits,
@@ -91,6 +92,18 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="positive"):
             TrafficEngine(sim, [spec], cp_interval_us=0.0)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_spec_rejects_queue_depth_below_one(self, depth):
+        # Depth 0 used to reject every arrival (len(queue) >= 0 always).
+        with pytest.raises(ConfigError, match="TenantSpec.queue_depth"):
+            TenantSpec(
+                name="a",
+                volume="volA",
+                arrivals=PoissonArrivals(100, seed=0),
+                mix=UniformOverwriteMix(1_000, seed=0),
+                queue_depth=depth,
+            )
 
     def test_default_interval_targets_ops_per_cp(self):
         sim = small_ssd_sim()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import ConfigError, ReproError
 from repro.traffic import QosLimits, TokenBucket
 
 
@@ -83,3 +84,16 @@ class TestQosLimits:
         first.take(0.0, 4.0)
         second, _ = limits.make_buckets()[0]
         assert second.ready_time_us(0.0, 4.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "field", ["iops", "iops_burst", "dirty_blocks_per_s", "dirty_burst_blocks"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan")])
+    def test_rejects_non_positive_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"QosLimits.{field} must be positive"):
+            QosLimits(**{field: value})
+
+    def test_config_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            QosLimits(iops=0.0)
+        assert issubclass(ConfigError, ReproError)

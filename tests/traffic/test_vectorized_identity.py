@@ -77,3 +77,32 @@ class TestEngineStateIdentity:
             assert ref.arrived_count() == st.arrived_count()
             assert ref.rejected_count() == st.rejected_count()
             assert ref.admitted == st.admitted
+
+
+class TestLongBacklogIdentity:
+    def test_backlog_spanning_many_chunks_matches_scalar(self):
+        """160 CPs of noisy-neighbor: the aggressor's backlog grows to
+        span dozens of CP chunks, as in long runs, so the contended
+        drain keeps crossing chunk boundaries.  Summary and the raw
+        per-op arrays, in service order, must match the scalar path."""
+        runs = {
+            vec: run_traffic(
+                "noisy-neighbor", quick=True, seed=29, n_cps=160, vectorized=vec
+            )
+            for vec in (False, True)
+        }
+        assert json.dumps(runs[False].result.as_dict(), sort_keys=True) == (
+            json.dumps(runs[True].result.as_dict(), sort_keys=True)
+        )
+        scalar, batched = runs[False].engine, runs[True].engine
+        assert len(batched.states[0].backlog) >= 20
+        assert batched._vtime == scalar._vtime
+        assert batched._server_free_us == scalar._server_free_us
+        for ref, st in zip(scalar.states, batched.states):
+            assert st.vfinish == ref.vfinish
+            assert st.backend_pending() == ref.backend_pending()
+            for raw in ("arrivals_array", "rejected_array",
+                        "complete_array", "latency_array"):
+                assert np.array_equal(
+                    getattr(ref, raw)(), getattr(st, raw)()
+                ), (st.spec.name, raw)
