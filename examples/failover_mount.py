@@ -43,8 +43,7 @@ def main() -> None:
     # WAFL persists the TopAA metafiles as part of normal CPs.
     image = export_topaa(sim)
     print(
-        f"TopAA image: {len(image.group_blocks)} RAID-group block(s) + "
-        f"{2 * len(image.vol_pages)} FlexVol blocks = {image.total_blocks} x 4 KiB"
+        f"TopAA image: {len(image.pages)} page(s) = {image.total_blocks} x 4 KiB"
     )
 
     # --- the node fails; the partner mounts from persisted state -------

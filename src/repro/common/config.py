@@ -30,7 +30,6 @@ from .constants import (
     HBPS_LIST_CAPACITY,
     RAID_AGNOSTIC_AA_BLOCKS,
     TETRIS_STRIPES,
-    TOPAA_RAID_AWARE_ENTRIES,
 )
 
 __all__ = [
@@ -88,14 +87,12 @@ class AllocatorConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """AA-cache tunables (paper sections 3.3.1-3.3.2, 3.4)."""
+    """AA-cache tunables (paper section 3.3.2)."""
 
     #: HBPS histogram bin width (paper default: 1K-wide bins).
     hbps_bin_width: int = HBPS_BIN_WIDTH
     #: HBPS best-AA list capacity (paper default: 1,000 entries).
     hbps_list_capacity: int = HBPS_LIST_CAPACITY
-    #: Entries persisted per TopAA page for the RAID-aware cache.
-    topaa_raid_aware_entries: int = TOPAA_RAID_AWARE_ENTRIES
 
 
 @dataclass(frozen=True)

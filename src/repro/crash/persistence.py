@@ -283,13 +283,9 @@ class CommittedImage:
         for where in sorted(self.pages):
             h.update(where.encode("utf-8"))
             h.update(self.pages[where])
-        for blob in self.topaa.group_blocks:
-            h.update(blob)
-        for name in sorted(self.topaa.vol_pages):
-            h.update(name.encode("utf-8"))
-            h.update(self.topaa.vol_pages[name])
-        if self.topaa.store_pages is not None:
-            h.update(self.topaa.store_pages)
+        for where in sorted(self.topaa.pages):
+            h.update(where.encode("utf-8"))
+            h.update(self.topaa.pages[where])
         return h.hexdigest()
 
 
@@ -331,20 +327,12 @@ def _tear_topaa(
     shadow: TopAAImage, committed: TopAAImage, rng: np.random.Generator
 ) -> TopAAImage:
     """Tear every TopAA page of the in-flight image against the old."""
-    old_groups = committed.group_blocks
-    torn = TopAAImage(
-        group_blocks=[
-            tear_page(blob, old_groups[i] if i < len(old_groups) else None, rng)
-            for i, blob in enumerate(shadow.group_blocks)
-        ],
-        vol_pages={
-            name: tear_page(blob, committed.vol_pages.get(name), rng)
-            for name, blob in sorted(shadow.vol_pages.items())
-        },
+    return TopAAImage(
+        pages={
+            where: tear_page(blob, committed.pages.get(where), rng)
+            for where, blob in shadow.pages.items()
+        }
     )
-    if shadow.store_pages is not None:
-        torn.store_pages = tear_page(shadow.store_pages, committed.store_pages, rng)
-    return torn
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from ..common.errors import MountError
 from ..common.retry import RetryBudget, retry_with_backoff
-from ..core.cache import make_aa_cache
 from ..fs.filesystem import WaflSim
 from ..fs.iron import IronReport, repair
 from ..fs.mount import DEFAULT_MOUNT_RETRIES
@@ -96,23 +95,16 @@ def exit_degraded(sim: WaflSim, *, budget: RetryBudget | None = None) -> int:
         return blocks
 
     blocks_read = 0
-    store = sim.store
-    touched = False
-    for _, fs, _ in store.physical_instances():
-        if not fs.degraded_alloc:
-            continue
-        blocks_read += _read(fs)
-        scores = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
-        fs.adopt_cache(make_aa_cache(fs.topology, scores))
-        touched = True
-    if touched:
+    try:
+        for fs in instances(sim).values():
+            if not fs.degraded_alloc:
+                continue
+            blocks_read += _read(fs)
+            scores = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
+            fs.adopt_cache(fs.make_cache(scores))
+    finally:
         # Group-level cache adoption invalidates the aggregate
-        # allocator's bindings; linear stores make this a no-op.
-        store.rebind_allocators()
-    for vol in sim.vols.values():
-        if not vol.degraded_alloc:
-            continue
-        blocks_read += _read(vol)
-        scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-        vol.adopt_cache(make_aa_cache(vol.topology, scores))
+        # allocator's bindings, even when a later walk runs out of
+        # retries; linear stores make this a no-op.
+        sim.store.rebind_allocators()
     return blocks_read

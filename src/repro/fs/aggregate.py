@@ -5,13 +5,14 @@ An ONTAP aggregate is a pool of physical storage hosting FlexVols
 its RAID groups' spaces (each group owns a contiguous global range),
 or a single linear range when the backing store is natively redundant.
 
-This module binds together, per store:
+Each RAID group and each object store is an :class:`~repro.fs.space.AASpace`
+(bitmap metafile, scores, AA cache, write allocator, delayed frees);
+this module adds what only physical stores have:
 
-* geometry and AA topology (:mod:`repro.raid`, :mod:`repro.core.aa`),
-* the bitmap metafile and delayed-free log (:mod:`repro.bitmap`),
-* the score keeper and AA cache/source (:mod:`repro.core`),
-* the write allocator (:mod:`repro.core.allocator`),
+* RAID geometry and stripe AA topology (:mod:`repro.raid`,
+  :mod:`repro.core.aa`),
 * device models with time costs (:mod:`repro.devices`),
+* the aggregate-wide allocator over RAID groups,
 
 and implements the CP-boundary sequence: price the CP's writes on the
 devices, apply delayed frees (with SSD trims), flush batched AA-score
@@ -20,30 +21,19 @@ deltas into the caches, and drain metafile dirty-block counts.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .. import obs
-from ..bitmap.metafile import BitmapMetafile
-from ..core.delayed_frees import DelayedFreeLog
 from ..common.config import SimConfig
 from ..common.constants import RAID_AGNOSTIC_AA_BLOCKS
 from ..common.errors import DegradedError, GeometryError, MediaError, TransientIOError
 from ..common.rng import make_rng
 from ..core.aa import LinearAATopology, StripeAATopology
-from ..core.allocator import AggregateAllocator, LinearAllocator, RAIDGroupAllocator
-from ..core.cache import CacheSource, make_aa_cache
-from ..core.hbps_cache import RAIDAgnosticAACache
-from ..core.heap_cache import RAIDAwareAACache
-from ..core.policies import (
-    AASource,
-    LinearScanSource,
-    RandomSource,
-)
-from ..core.score import ScoreKeeper
+from ..core.allocator import AggregateAllocator, RAIDGroupAllocator
+from ..core.policies import AASource
 from ..core.sizing import aa_size_for_hdd, aa_size_for_smr, aa_size_for_ssd
 from ..devices.base import Device, MediaType
 from ..devices.hdd import HDD, HDDConfig
@@ -53,6 +43,7 @@ from ..devices.ssd import SSD, SSDConfig
 from ..raid.geometry import RAIDGeometry
 from ..raid.parity import StripeWriteStats, analyze_raid_writes
 from .azcs import azcs_device_blocks, azcs_expand
+from .space import AASpace, PolicyKind
 
 __all__ = [
     "MediaType",
@@ -89,17 +80,6 @@ class TierPolicy(Protocol):
         """Allocate physical VBNs for ``ids`` (``was_mapped[i]`` is True
         for overwrites); raises ``OutOfSpaceError`` on shortfall."""
         ...
-
-
-class PolicyKind(enum.Enum):
-    """AA selection policy for a store (section 4.1 comparisons)."""
-
-    #: The paper's AA cache (max-heap or HBPS depending on topology).
-    CACHE = "cache"
-    #: "AA cache disabled": random AA selection.
-    RANDOM = "random"
-    #: First-fit cursor baseline (extension).
-    LINEAR_SCAN = "linear"
 
 
 @dataclass
@@ -186,30 +166,11 @@ class StoreCPReport:
     by_tier: dict[str, "StoreCPReport"] = field(default_factory=dict)
 
 
-def _make_linear_source(
-    kind: PolicyKind,
-    topology: LinearAATopology,
-    metafile: BitmapMetafile,
-    keeper: ScoreKeeper,
-    seed: int | np.random.Generator | None,
-    config: SimConfig | None = None,
-) -> tuple[AASource, RAIDAgnosticAACache | None]:
-    if kind is PolicyKind.CACHE:
-        cache = make_aa_cache(topology, keeper.scores, config=config)
+class RAIDGroupRuntime(AASpace):
+    """One live RAID group: devices and parity pricing on top of its
+    AA space (RAID-aware heap cache, stripe-major allocator)."""
 
-        def replenisher() -> np.ndarray:
-            # The background replenish walks every bitmap metafile block.
-            metafile.note_scan_read()
-            return topology.scores_from_bitmap(metafile.bitmap)
-
-        return CacheSource(cache, replenisher), cache
-    if kind is PolicyKind.RANDOM:
-        return RandomSource(topology.num_aas, seed), None
-    return LinearScanSource(topology.num_aas), None
-
-
-class RAIDGroupRuntime:
-    """One live RAID group: devices, metafile, cache, allocator."""
+    replenishes = False
 
     def __init__(
         self,
@@ -219,52 +180,27 @@ class RAIDGroupRuntime:
         policy: PolicyKind = PolicyKind.CACHE,
         seed: int | np.random.Generator | None = None,
         name: str = "rg",
-        batch_flush: bool = True,
+        sim_config: SimConfig | None = None,
     ) -> None:
         self.config = config
         self.name = name
-        self._batch_flush = bool(batch_flush)
+        self.offset = offset
         self.geometry = RAIDGeometry(
             config.ndata, config.nparity, config.blocks_per_disk,
             mirrored=config.mirrored,
         )
         stripes_per_aa = config.resolve_stripes_per_aa(self.geometry)
-        self.topology = StripeAATopology(self.geometry, stripes_per_aa)
-        self.metafile = BitmapMetafile(self.geometry.data_blocks)
-        self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.policy = policy
-        self.cache: RAIDAwareAACache | None = None
-        if policy is PolicyKind.CACHE:
-            self.cache = make_aa_cache(self.topology, self.keeper.scores)
-            self.source: AASource = CacheSource(self.cache)
-        elif policy is PolicyKind.RANDOM:
-            self.source = RandomSource(self.topology.num_aas, seed)
-        else:
-            self.source = LinearScanSource(self.topology.num_aas)
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=offset, batch_flush=self._batch_flush,
+        # The ``where`` label is rewritten to ``group:<index>`` by
+        # :class:`RAIDStore` so injector targets match Iron's strings.
+        super().__init__(
+            StripeAATopology(self.geometry, stripes_per_aa),
+            policy=policy, config=sim_config, seed=seed, where=f"group:{name}",
         )
-        self.offset = offset
         self.azcs = config.azcs
         self.data_devices = [self._make_device(f"{name}.d{d}") for d in range(config.ndata)]
         self.parity_devices = [
             self._make_device(f"{name}.p{p}") for p in range(config.nparity)
         ]
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.free_budget_blocks: int | None = None
-        #: Iron/faults addressing label; rewritten to ``group:<index>``
-        #: by :class:`RAIDStore` so injector targets match Iron's
-        #: ``where`` strings.
-        self.where = f"group:{name}"
-        #: Attached :class:`repro.faults.FaultInjector` (None = no faults).
-        self.injector = None
-        #: True while allocation runs on the direct bitmap walk
-        #: (cache offline during repair; see :meth:`enter_degraded`).
-        self.degraded_alloc = False
         #: Aging-phase fast path: issue every device write (FTL state
         #: must advance exactly as priced CPs would) but skip the
         #: stripe/tetris/chain classification and parity-read charging,
@@ -281,6 +217,21 @@ class RAIDGroupRuntime:
         self._pending_recon_reads = 0
 
     # ------------------------------------------------------------------
+    def _make_allocator(self, source: AASource) -> RAIDGroupAllocator:
+        return RAIDGroupAllocator(
+            self.topology, self.metafile, source, self.keeper,
+            store_offset=self.offset, batch_flush=self._batch_flush,
+        )
+
+    def _after_free(self, freed: np.ndarray) -> None:
+        """Trim freed blocks on live SSD data devices."""
+        if self.config.media is MediaType.SSD:
+            disks = self.geometry.disk_of(freed)
+            dbns = self.geometry.dbn_of(freed)
+            for d, dev in enumerate(self.data_devices):
+                if not dev.failed:
+                    dev.trim(dbns[disks == d])
+
     def _make_device(self, name: str) -> Device:
         cfg = self.config
         blocks = cfg.blocks_per_disk
@@ -300,11 +251,6 @@ class RAIDGroupRuntime:
     # ------------------------------------------------------------------
     # Fault injection and degraded mode (:mod:`repro.faults`)
     # ------------------------------------------------------------------
-    def attach_injector(self, injector) -> None:
-        """Attach a :class:`repro.faults.FaultInjector` to this group's
-        read paths."""
-        self.injector = injector
-
     @property
     def failed_disks(self) -> int:
         """Number of failed member devices (data + parity)."""
@@ -409,50 +355,6 @@ class RAIDGroupRuntime:
                 )
             self._reconstruct_blocks(degraded)
         return self.metafile.note_scan_read(n)
-
-    def enter_degraded(self) -> None:
-        """Serve allocations from a direct bitmap walk while the AA
-        cache is offline (being rebuilt after damage).  The current AA
-        is released; no allocation fails while degraded."""
-        from ..core.policies import BitmapWalkSource
-
-        self.allocator.release()
-        self.source = BitmapWalkSource(self.topology, self.metafile)
-        self.cache = None
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=self.offset, batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = True
-
-    def adopt_cache(self, cache: RAIDAwareAACache) -> None:
-        """Install a freshly built (possibly TopAA-seeded) cache after a
-        remount, with a new allocator bound to it.
-
-        The score keeper is rebuilt from the bitmap as a side effect;
-        in WAFL that bookkeeping is restored lazily per-AA and does not
-        gate the first CP, so mount-time measurements charge only the
-        cache-build I/O (see :mod:`repro.fs.mount`).
-        """
-        self.cache = cache
-        self.source = CacheSource(cache)
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.allocator = RAIDGroupAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            store_offset=self.offset, batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = False
-
-    def cache_ops_total(self) -> int:
-        if self.cache is not None:
-            return self.cache.maintenance_ops
-        return 0
 
     # ------------------------------------------------------------------
     # CP boundary pieces
@@ -587,38 +489,6 @@ class RAIDGroupRuntime:
             us += dev.write_blocks(azcs_expand(seg))
         return us
 
-    def apply_frees(self) -> int:
-        """Apply this group's delayed frees; trim SSDs; return count."""
-        if self.free_budget_blocks is None:
-            freed = self.delayed_frees.apply_all(self.metafile)
-        else:
-            freed = self.delayed_frees.apply_best(
-                self.metafile, self.free_budget_blocks
-            )
-        if freed.size == 0:
-            return 0
-        self.keeper.note_free(freed)
-        if self.config.media is MediaType.SSD:
-            disks = self.geometry.disk_of(freed)
-            dbns = self.geometry.dbn_of(freed)
-            for d, dev in enumerate(self.data_devices):
-                if not dev.failed:
-                    dev.trim(dbns[disks == d])
-        return int(freed.size)
-
-    def drain_counters(self) -> tuple[int, int, int]:
-        """(cache_ops, aa_switches, spanned_blocks) since the last CP."""
-        ops = self.cache_ops_total()
-        switches = len(self.allocator.selected_aa_scores)
-        spans = self.allocator.spanned_blocks
-        d_ops = ops - self._last_cache_ops
-        d_sw = switches - self._last_aa_switches
-        d_sp = spans - self._last_spans
-        self._last_cache_ops = ops
-        self._last_aa_switches = switches
-        self._last_spans = spans
-        return d_ops, d_sw, d_sp
-
 
 class RAIDStore:
     """Aggregate physical store backed by one or more RAID groups."""
@@ -641,9 +511,6 @@ class RAIDStore:
         alloc_cfg = (
             config if config is not None else SimConfig.default()
         ).allocator
-        threshold = alloc_cfg.threshold_fraction
-        stripes_per_round = alloc_cfg.stripes_per_round
-        batch_flush = not alloc_cfg.scalar_bitmap_flush
         rng = make_rng(seed)
         self.groups: list[RAIDGroupRuntime] = []
         self.offsets: list[int] = []
@@ -652,7 +519,7 @@ class RAIDStore:
             self.offsets.append(offset)
             g = RAIDGroupRuntime(
                 cfg, offset=offset, policy=policy, seed=rng, name=f"rg{i}",
-                batch_flush=batch_flush,
+                sim_config=config,
             )
             g.where = f"group:{i}"
             self.groups.append(g)
@@ -660,8 +527,8 @@ class RAIDStore:
         self.nblocks = offset
         self.allocator = AggregateAllocator(
             [g.allocator for g in self.groups],
-            threshold_fraction=threshold,
-            stripes_per_round=stripes_per_round,
+            threshold_fraction=alloc_cfg.threshold_fraction,
+            stripes_per_round=alloc_cfg.stripes_per_round,
         )
         self._bounds = np.asarray(self.offsets + [self.nblocks], dtype=np.int64)
         self._pending_read_us: list[float] = [0.0] * len(self.groups)
@@ -669,9 +536,7 @@ class RAIDStore:
     # ------------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        return sum(
-            g.metafile.free_count - g.allocator.pending_count for g in self.groups
-        )
+        return sum(g.free_count for g in self.groups)
 
     @property
     def devices(self) -> list[Device]:
@@ -775,11 +640,7 @@ class RAIDStore:
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
         for g in self.groups:
-            report.metafile_blocks += g.metafile.drain_dirty()
-            d_ops, d_sw, d_sp = g.drain_counters()
-            report.cache_ops += d_ops
-            report.aa_switches += d_sw
-            report.spanned_blocks += d_sp
+            g.drain_counters(report)
         report.device_busy_us = max(busy) if busy else 0.0
         report.device_total_us = float(sum(busy))
         return report
@@ -796,16 +657,13 @@ class RAIDStore:
     def selected_aa_free_fractions(self) -> np.ndarray:
         """Free fraction of every AA at the moment it was selected
         (the section 4.1 trace)."""
-        fracs: list[float] = []
-        for g in self.groups:
-            cap = g.topology.aa_blocks
-            fracs.extend(s / cap for s in g.allocator.selected_aa_scores)
-        return np.asarray(fracs, dtype=np.float64)
+        return np.concatenate([g.selected_aa_free_fractions() for g in self.groups])
 
 
-class LinearStore:
-    """Physical store with native redundancy (object store): linear
-    AAs, HBPS cache, a single device model."""
+class LinearStore(AASpace):
+    """Physical store with native redundancy (object store): one
+    RAID-agnostic AA space (linear AAs, HBPS cache) over a single
+    device model."""
 
     #: See :attr:`RAIDStore.tier_policy`.
     tier_policy: TierPolicy | None = None
@@ -820,48 +678,18 @@ class LinearStore:
         config: SimConfig | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        self.topology = LinearAATopology(nblocks, blocks_per_aa)
-        self.nblocks = nblocks
-        self._batch_flush = not (
-            config if config is not None else SimConfig.default()
-        ).allocator.scalar_bitmap_flush
-        self.metafile = BitmapMetafile(nblocks)
-        self.delayed_frees = DelayedFreeLog()
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-        self.source, self.cache = _make_linear_source(
-            policy, self.topology, self.metafile, self.keeper, seed, config
-        )
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
+        super().__init__(
+            LinearAATopology(nblocks, blocks_per_aa),
+            policy=policy, config=config, seed=seed, where="store",
         )
         self.device = ObjectStore(nblocks, object_config)
         self._cp_writes: list[np.ndarray] = []
         self._pending_read_us = 0.0
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        #: When set, each CP applies delayed frees for at most this many
-        #: metafile blocks, chosen fullest-first by the log's HBPS (the
-        #: paper's "delayed-free scores" use of HBPS); None = apply all.
-        self.free_budget_blocks: int | None = None
-        #: Iron/faults addressing label.
-        self.where = "store"
-        self.injector = None
-        self.degraded_alloc = False
 
     # ------------------------------------------------------------------
     @property
-    def free_count(self) -> int:
-        return self.metafile.free_count - self.allocator.pending_count
-
-    @property
     def devices(self) -> list[Device]:
         return [self.device]
-
-    def attach_injector(self, injector) -> None:
-        """Attach a fault injector to this store's read paths."""
-        self.injector = injector
 
     def physical_instances(self) -> list[tuple[str, object, int]]:
         """See :meth:`RAIDStore.physical_instances`; a linear store is
@@ -892,43 +720,6 @@ class LinearStore:
                 )
         return self.metafile.note_scan_read(n)
 
-    def enter_degraded(self) -> None:
-        """Serve allocations from a direct bitmap walk while the AA
-        cache is offline (being rebuilt after damage)."""
-        from ..core.policies import BitmapWalkSource
-
-        self.allocator.release()
-        self.source = BitmapWalkSource(self.topology, self.metafile)
-        self.cache = None
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = True
-
-    def adopt_cache(self, cache: RAIDAgnosticAACache) -> None:
-        """Install a freshly built HBPS cache with a new allocator bound
-        to it (remount / exit-degraded path)."""
-        self.cache = cache
-        self.keeper = ScoreKeeper(self.topology, self.metafile.bitmap)
-
-        def replenisher() -> np.ndarray:
-            self.metafile.note_scan_read()
-            return self.topology.scores_from_bitmap(self.metafile.bitmap)
-
-        self.source = CacheSource(cache, replenisher)
-        self.allocator = LinearAllocator(
-            self.topology, self.metafile, self.source, self.keeper,
-            batch_flush=self._batch_flush,
-        )
-        self._last_cache_ops = 0
-        self._last_aa_switches = 0
-        self._last_spans = 0
-        self.degraded_alloc = False
-
     def allocate(self, n: int) -> np.ndarray:
         vbns = self.allocator.allocate(n)
         if vbns.size:
@@ -943,11 +734,6 @@ class LinearStore:
     def charge_reads(self, n_random: int) -> None:
         if n_random > 0:
             self._pending_read_us += self.device.read_blocks(n_random)
-
-    def _cache_ops_total(self) -> int:
-        if self.cache is None:
-            return 0
-        return self.cache.maintenance_ops
 
     def cp_boundary(self) -> StoreCPReport:
         report = StoreCPReport()
@@ -964,31 +750,9 @@ class LinearStore:
         # Sync the allocator's pending span before applying frees (a
         # same-CP write-then-delete frees a just-allocated VBN).
         self.allocator.flush_pending()
-        if self.free_budget_blocks is None:
-            freed = self.delayed_frees.apply_all(self.metafile)
-        else:
-            freed = self.delayed_frees.apply_best(
-                self.metafile, self.free_budget_blocks
-            )
-        if freed.size:
-            self.keeper.note_free(freed)
-            report.blocks_freed = int(freed.size)
+        report.blocks_freed = self.apply_frees()
         with obs.span("cp.cache_flush"):
             self.allocator.cp_flush()
-        report.metafile_blocks = self.metafile.drain_dirty()
-        ops = self._cache_ops_total()
-        report.cache_ops = ops - self._last_cache_ops
-        self._last_cache_ops = ops
-        switches = len(self.allocator.selected_aa_scores)
-        report.aa_switches = switches - self._last_aa_switches
-        self._last_aa_switches = switches
-        report.spanned_blocks = self.allocator.spanned_blocks - self._last_spans
-        self._last_spans = self.allocator.spanned_blocks
+        self.drain_counters(report)
         report.device_total_us = report.device_busy_us
         return report
-
-    def selected_aa_free_fractions(self) -> np.ndarray:
-        cap = self.topology.aa_blocks
-        return np.asarray(
-            [s / cap for s in self.allocator.selected_aa_scores], dtype=np.float64
-        )

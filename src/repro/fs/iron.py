@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.cache import make_aa_cache
 from .aggregate import RAIDGroupRuntime
 from .filesystem import WaflSim
 
@@ -206,7 +205,7 @@ def repair(sim: WaflSim, scope=None, *, rebuild_caches: bool = True) -> IronRepo
         vol.keeper.recompute(bm)
         if rebuild_caches:
             if vol.cache is not None or vol.degraded_alloc:
-                vol.adopt_cache(make_aa_cache(vol.topology, vol.keeper.scores))
+                vol.adopt_cache(vol.make_cache(vol.keeper.scores))
         elif not vol.degraded_alloc:
             vol.enter_degraded()
     # Physical stores: rewrite to container-map truth.
@@ -228,7 +227,7 @@ def repair(sim: WaflSim, scope=None, *, rebuild_caches: bool = True) -> IronRepo
         if isinstance(fs, RAIDGroupRuntime):
             if rebuild_caches:
                 if fs.cache is not None or fs.degraded_alloc:
-                    fs.adopt_cache(make_aa_cache(fs.topology, fs.keeper.scores))
+                    fs.adopt_cache(fs.make_cache(fs.keeper.scores))
             elif not fs.degraded_alloc:
                 fs.enter_degraded()
         elif not rebuild_caches:
@@ -239,7 +238,7 @@ def repair(sim: WaflSim, scope=None, *, rebuild_caches: bool = True) -> IronRepo
             # adopt_cache is only for coming back from degraded mode.
             fs.cache.refill(fs.keeper.scores)
         elif fs.degraded_alloc:
-            fs.adopt_cache(make_aa_cache(fs.topology, fs.keeper.scores))
+            fs.adopt_cache(fs.make_cache(fs.keeper.scores))
     if touched:
         store.rebind_allocators()
     report.repaired = True

@@ -12,7 +12,8 @@ bitmaps represent the persisted state:
 
 * :func:`export_topaa` captures the TopAA metafile image (one 4 KiB
   block per RAID-aware cache with the 512 best AAs; two blocks per
-  RAID-agnostic cache embedding the HBPS).  Every page is *sealed*
+  RAID-agnostic cache embedding the HBPS), keyed by each file
+  system's ``where`` label.  Every page is *sealed*
   with a CRC32 checksum header (:func:`repro.core.topaa.seal_page`) so
   damage is detected at mount instead of seeding garbage.
 * :func:`simulate_mount` rebuilds every AA cache either from the TopAA
@@ -40,9 +41,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..common.constants import BLOCK_SIZE
 from ..common.errors import MediaError, SerializationError
 from ..common.retry import RetryBudget, retry_with_backoff
-from ..core.cache import make_aa_cache
+from ..core.aa import StripeAATopology
 from ..core.topaa import (
     PAGE_KIND_HBPS,
     PAGE_KIND_HEAP_SEED,
@@ -53,8 +55,8 @@ from ..core.topaa import (
     load_hbps_cache,
     unseal_page,
 )
-from .aggregate import LinearStore, RAIDStore
 from .filesystem import WaflSim
+from .space import AASpace
 
 __all__ = ["TopAAImage", "MountReport", "export_topaa", "simulate_mount", "background_rebuild"]
 
@@ -81,19 +83,16 @@ class TopAAImage:
     FlexVol/linear store.
     """
 
-    #: One 4 KiB block per RAID group (512 best AAs each).
-    group_blocks: list[bytes] = field(default_factory=list)
-    #: Two 4 KiB blocks per FlexVol (embedded HBPS), by volume name.
-    vol_pages: dict[str, bytes] = field(default_factory=dict)
-    #: Two blocks for a linear physical store, when present.
-    store_pages: bytes | None = None
+    #: Sealed page per file system, by ``where`` label: one 4 KiB block
+    #: per RAID group (512 best AAs), two per RAID-agnostic space
+    #: (embedded HBPS).
+    pages: dict[str, bytes] = field(default_factory=dict)
 
     @property
     def total_blocks(self) -> int:
-        n = len(self.group_blocks) + 2 * len(self.vol_pages)
-        if self.store_pages is not None:
-            n += 2
-        return n
+        # The checksum header is smaller than a block, so floor division
+        # counts only the payload blocks.
+        return sum(len(p) // BLOCK_SIZE for p in self.pages.values())
 
 
 @dataclass
@@ -139,35 +138,66 @@ class MountReport:
         return self.modeled_read_us
 
 
+def _spaces(sim: WaflSim) -> list[AASpace]:
+    """Every file-system instance: the store's physical instances,
+    then the FlexVols."""
+    return [fs for _, fs, _ in sim.store.physical_instances()] + list(
+        sim.vols.values()
+    )
+
+
+def _raid_aware(fs: AASpace) -> bool:
+    """True for RAID groups, whose heap caches persist a 1-block seed;
+    RAID-agnostic spaces embed their HBPS in 2 blocks."""
+    return isinstance(fs.topology, StripeAATopology)
+
+
 def export_topaa(sim: WaflSim) -> TopAAImage:
     """Capture the TopAA metafile image of a running system.
 
     WAFL updates these blocks as part of normal CPs; capturing at an
     arbitrary CP boundary is therefore representative.  Pages are
     sealed with their checksum header and the exporting topology's AA
-    count (stale detection).
+    count (stale detection).  A RAID group's seed comes from its score
+    keeper, so it is exported with or without a live cache; an HBPS
+    page needs the cache itself.
     """
     image = TopAAImage()
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for g in store.groups:
-            image.group_blocks.append(
-                seal_page(
-                    serialize_heap_seed(g.keeper.scores),
-                    PAGE_KIND_HEAP_SEED,
-                    g.topology.num_aas,
-                )
+    for fs in _spaces(sim):
+        num_aas = fs.topology.num_aas
+        if _raid_aware(fs):
+            page = seal_page(
+                serialize_heap_seed(fs.keeper.scores), PAGE_KIND_HEAP_SEED, num_aas
             )
-    elif getattr(store, "cache", None) is not None:
-        image.store_pages = seal_page(
-            serialize_hbps_cache(store.cache), PAGE_KIND_HBPS, store.topology.num_aas
-        )
-    for name, vol in sim.vols.items():
-        if vol.cache is not None:
-            image.vol_pages[name] = seal_page(
-                serialize_hbps_cache(vol.cache), PAGE_KIND_HBPS, vol.topology.num_aas
-            )
+        elif fs.cache is not None:
+            page = seal_page(serialize_hbps_cache(fs.cache), PAGE_KIND_HBPS, num_aas)
+        else:
+            continue
+        image.pages[fs.where] = page
     return image
+
+
+def _load_page(image: TopAAImage, fs: AASpace, report: MountReport):
+    """The cache seeded from ``fs``'s verified TopAA page, or None after
+    recording why the page is unusable in ``report.fallbacks``."""
+    blob = image.pages.get(fs.where)
+    if blob is None:
+        report.fallbacks[fs.where] = "missing-page"
+        return None
+    num_aas = fs.topology.num_aas
+    kind = PAGE_KIND_HEAP_SEED if _raid_aware(fs) else PAGE_KIND_HBPS
+    try:
+        payload = unseal_page(blob, kind, num_aas)
+    except SerializationError as exc:
+        report.fallbacks[fs.where] = _unseal_reason(exc)
+        return None
+    if kind == PAGE_KIND_HEAP_SEED:
+        report.blocks_read += 1
+        return seed_heap_cache(num_aas, payload)
+    report.blocks_read += 2
+    return load_hbps_cache(
+        payload, num_aas, list_capacity=fs.sim_config.cache.hbps_list_capacity
+    )
 
 
 def _unseal_reason(exc: SerializationError) -> str:
@@ -252,92 +282,26 @@ def simulate_mount(
     report = MountReport(used_topaa=image is not None)
     report.retry_budget_limit = budget.limit
     t0 = time.perf_counter()
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for gi, g in enumerate(store.groups):
-            if g.cache is None and not g.degraded_alloc:
+    try:
+        for fs in _spaces(sim):
+            if fs.cache is None and not fs.degraded_alloc:
                 continue
-            cache = None
-            if image is not None:
-                blob = image.group_blocks[gi] if gi < len(image.group_blocks) else None
-                if blob is None:
-                    report.fallbacks[g.where] = "missing-page"
-                else:
-                    try:
-                        payload = unseal_page(
-                            blob, PAGE_KIND_HEAP_SEED, g.topology.num_aas
-                        )
-                    except SerializationError as exc:
-                        report.fallbacks[g.where] = _unseal_reason(exc)
-                    else:
-                        cache = seed_heap_cache(g.topology.num_aas, payload)
-                        report.blocks_read += 1
+            cache = None if image is None else _load_page(image, fs, report)
             if cache is None:
                 if _walk_bitmap(
-                    sim, g, report, budget=budget, backoff_us=retry_backoff_us
+                    sim, fs, report, budget=budget, backoff_us=retry_backoff_us
                 ):
                     report.caches_built += 1
                     continue
-                scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
-                cache = make_aa_cache(g.topology, scores)
-            g.adopt_cache(cache)
+                scores = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
+                cache = fs.make_cache(scores)
+            fs.adopt_cache(cache)
             report.caches_built += 1
-        store.rebind_allocators()
-    elif isinstance(store, LinearStore) and (
-        store.cache is not None or store.degraded_alloc
-    ):
-        cache = None
-        if image is not None:
-            if image.store_pages is None:
-                report.fallbacks[store.where] = "missing-page"
-            else:
-                try:
-                    payload = unseal_page(
-                        image.store_pages, PAGE_KIND_HBPS, store.topology.num_aas
-                    )
-                except SerializationError as exc:
-                    report.fallbacks[store.where] = _unseal_reason(exc)
-                else:
-                    cache = load_hbps_cache(payload, store.topology.num_aas)
-                    report.blocks_read += 2
-        if cache is None:
-            if _walk_bitmap(
-                sim, store, report, budget=budget, backoff_us=retry_backoff_us
-            ):
-                report.caches_built += 1
-                cache = None
-            else:
-                scores = store.topology.scores_from_bitmap(store.metafile.bitmap)
-                cache = make_aa_cache(store.topology, scores)
-        if cache is not None:
-            store.adopt_cache(cache)
-            report.caches_built += 1
-    for name, vol in sim.vols.items():
-        if vol.cache is None and not vol.degraded_alloc:
-            continue
-        cache = None
-        if image is not None:
-            blob = image.vol_pages.get(name)
-            if blob is None:
-                report.fallbacks[vol.where] = "missing-page"
-            else:
-                try:
-                    payload = unseal_page(blob, PAGE_KIND_HBPS, vol.topology.num_aas)
-                except SerializationError as exc:
-                    report.fallbacks[vol.where] = _unseal_reason(exc)
-                else:
-                    cache = load_hbps_cache(payload, vol.topology.num_aas)
-                    report.blocks_read += 2
-        if cache is None:
-            if _walk_bitmap(
-                sim, vol, report, budget=budget, backoff_us=retry_backoff_us
-            ):
-                report.caches_built += 1
-                continue
-            scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-            cache = make_aa_cache(vol.topology, scores)
-        vol.adopt_cache(cache)
-        report.caches_built += 1
+    finally:
+        # Group-level adoption invalidates the aggregate allocator's
+        # bindings, even when a later walk runs out of retries (a no-op
+        # for linear stores).
+        sim.store.rebind_allocators()
     report.build_wall_s = time.perf_counter() - t0
     report.modeled_read_us = (
         report.blocks_read * metafile_read_us + report.retry_backoff_us
@@ -375,25 +339,24 @@ def background_rebuild(
 
     populated = 0
     refreshed = 0
-    store = sim.store
-    if isinstance(store, RAIDStore):
-        for g in store.groups:
-            cache = g.cache
-            if cache is None or cache.fully_populated:
+    for fs in _spaces(sim):
+        cache = fs.cache
+        if cache is None:
+            continue
+        if _raid_aware(fs):
+            if cache.fully_populated:
                 continue
-            _read(g)
-            scores = g.topology.scores_from_bitmap(g.metafile.bitmap)
-            for aa in range(g.topology.num_aas):
+            _read(fs)
+            scores = fs.topology.scores_from_bitmap(fs.metafile.bitmap)
+            for aa in range(fs.topology.num_aas):
                 if cache.score_of(aa) < 0 and aa not in cache.checked_out:
                     cache.populate(aa, int(scores[aa]))
                     populated += 1
-            g.keeper.recompute(g.metafile.bitmap)
-    for vol in sim.vols.values():
-        if vol.cache is None or not vol.cache.seeded:
-            continue
-        _read(vol)
-        scores = vol.topology.scores_from_bitmap(vol.metafile.bitmap)
-        vol.cache.replenish(scores)
-        vol.keeper.recompute(vol.metafile.bitmap)
-        refreshed += 1
+        else:
+            if not cache.seeded:
+                continue
+            _read(fs)
+            cache.replenish(fs.topology.scores_from_bitmap(fs.metafile.bitmap))
+            refreshed += 1
+        fs.keeper.recompute(fs.metafile.bitmap)
     return {"heap_aas_populated": populated, "hbps_caches_refreshed": refreshed}

@@ -26,7 +26,7 @@ class TestSharedBudget:
         sim, inj = faulty
         img = export_topaa(sim)
         # Force volB onto the bitmap walk, then make that walk flaky.
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=2)
         budget = RetryBudget(6)
         rep = simulate_mount(sim, img, budget=budget)
@@ -49,7 +49,7 @@ class TestSharedBudget:
         to miss."""
         sim, inj = faulty
         img = export_topaa(sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=2)
         budget = RetryBudget(3)
         rep = simulate_mount(sim, img, budget=budget)
@@ -63,7 +63,7 @@ class TestSharedBudget:
     def test_default_budget_per_call_still_bounds(self, faulty):
         sim, inj = faulty
         img = export_topaa(sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=10)
         with pytest.raises(RecoveryExhaustedError):
             simulate_mount(sim, img, max_retries=2)

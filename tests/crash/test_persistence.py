@@ -121,7 +121,7 @@ class TestFuzzRoundTrips:
     def test_topaa_page_damage_is_detected(self, aged_sim):
         img = export_topaa(aged_sim)
         vol = aged_sim.vol("volA")
-        page = img.vol_pages["volA"]
+        page = img.pages["vol:volA"]
         flipped = page[:40] + bytes([page[40] ^ 0x10]) + page[41:]
         with pytest.raises(SerializationError):
             unseal_page(flipped, PAGE_KIND_HBPS, vol.topology.num_aas)

@@ -76,31 +76,66 @@ class TestScopedRepair:
         sim.verify_consistency()
 
 
+def _object_sim():
+    from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+    from repro.fs import WaflSim
+
+    spec = AggregateSpec(
+        tiers=(TierSpec(label="s3", media="object", raid="none",
+                        nblocks=32768 * 4),),
+        volumes=(VolumeDecl("volA", logical_blocks=32768),
+                 VolumeDecl("volB", logical_blocks=32768)),
+    )
+    return WaflSim.build(spec, seed=0)
+
+
+def _tiered_sim():
+    from repro.tiering import build_tiered_sim
+
+    return build_tiered_sim(quick=True)
+
+
+def _escalation_lifecycle(sim):
+    """Damage one FlexVol and the first physical instance, escalate,
+    allocate on the bitmap walk, then exit degraded mode."""
+    inj = FaultInjector(seed=9)
+    vol = next(iter(sim.vols.values()))
+    g = sim.store.physical_instances()[0][1]
+    flip_bitmap_bits(vol.metafile.bitmap, 24, inj.rng, "set")
+    flip_bitmap_bits(g.metafile.bitmap, 24, inj.rng, "clear")
+    report = scan(sim)
+    wheres = sorted(report.by_where())
+    fixed = escalate(sim, wheres)
+    assert set(fixed.by_where()) == set(wheres)
+    assert sorted(degraded_instances(sim)) == wheres
+    assert vol.cache is None and g.cache is None
+    # Allocation keeps succeeding on the bitmap walk: zero failed
+    # allocations while the caches are offline.
+    sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=5), 3)
+    assert vol.source.selects > 0
+    assert vol.source.bits_scanned > 0
+    blocks = exit_degraded(sim)
+    assert blocks > 0
+    assert degraded_instances(sim) == []
+    assert vol.cache is not None and g.cache is not None
+    sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 3)
+    assert scan(sim).clean
+    sim.verify_consistency()
+
+
 class TestEscalation:
     def test_escalate_serves_degraded_then_recovers(self, sim):
-        inj = FaultInjector(seed=9)
-        vol = sim.vol("volA")
-        g = sim.store.groups[0]
-        flip_bitmap_bits(vol.metafile.bitmap, 24, inj.rng, "set")
-        flip_bitmap_bits(g.metafile.bitmap, 24, inj.rng, "clear")
-        report = scan(sim)
-        wheres = sorted(report.by_where())
-        fixed = escalate(sim, wheres)
-        assert set(fixed.by_where()) == set(wheres)
-        assert sorted(degraded_instances(sim)) == wheres
-        assert vol.cache is None and g.cache is None
-        # Allocation keeps succeeding on the bitmap walk: zero failed
-        # allocations while the caches are offline.
-        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=5), 3)
-        assert vol.source.selects > 0
-        assert vol.source.bits_scanned > 0
-        blocks = exit_degraded(sim)
-        assert blocks > 0
-        assert degraded_instances(sim) == []
-        assert vol.cache is not None and g.cache is not None
-        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=6), 3)
-        assert scan(sim).clean
-        sim.verify_consistency()
+        _escalation_lifecycle(sim)
+
+    @pytest.mark.parametrize("build", [_object_sim, _tiered_sim], ids=["object", "tiered"])
+    def test_lifecycle_on_other_stores(self, build):
+        """The same lifecycle on a single object tier (one linear
+        store) and on a tiered aggregate (RAID groups inside tier
+        members)."""
+        sim = build()
+        fill_volumes(sim, ops_per_cp=8192)
+        sim.run(RandomOverwriteWorkload(sim, ops_per_cp=1024, seed=3), 5)
+        _escalation_lifecycle(sim)
 
     def test_escalate_empty_scope_is_noop(self, sim):
         report = escalate(sim, [])

@@ -28,7 +28,7 @@ def aged_sim():
 class TestPageVerification:
     def test_corrupt_page_falls_back_only_that_fs(self, aged_sim):
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks == {"vol:volB": "bad-crc"}
         assert rep.caches_built == 3
@@ -47,7 +47,7 @@ class TestPageVerification:
         """A volume present in the simulator but absent from the TopAA
         image must not crash the mount (regression: KeyError)."""
         img = export_topaa(aged_sim)
-        del img.vol_pages["volA"]
+        del img.pages["vol:volA"]
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks == {"vol:volA": "missing-page"}
         assert rep.caches_built == 3
@@ -56,7 +56,7 @@ class TestPageVerification:
 
     def test_truncated_page_detected(self, aged_sim):
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = img.vol_pages["volB"][:100]
+        img.pages["vol:volB"] = img.pages["vol:volB"][:100]
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks["vol:volB"] == "truncated"
 
@@ -65,7 +65,7 @@ class TestPageVerification:
         must not seed a cache of the wrong shape."""
         img = export_topaa(aged_sim)
         vol = aged_sim.vol("volB")
-        img.vol_pages["volB"] = seal_page(
+        img.pages["vol:volB"] = seal_page(
             serialize_hbps_cache(vol.cache), PAGE_KIND_HBPS, vol.topology.num_aas + 1
         )
         rep = simulate_mount(aged_sim, img)
@@ -75,15 +75,15 @@ class TestPageVerification:
         img = export_topaa(aged_sim)
         vol = aged_sim.vol("volB")
         payload = unseal_page(
-            img.vol_pages["volB"], PAGE_KIND_HBPS, vol.topology.num_aas
+            img.pages["vol:volB"], PAGE_KIND_HBPS, vol.topology.num_aas
         )
-        img.vol_pages["volB"] = seal_page(payload, 1, vol.topology.num_aas)
+        img.pages["vol:volB"] = seal_page(payload, 1, vol.topology.num_aas)
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks["vol:volB"] == "wrong-kind"
 
     def test_corrupt_group_block_falls_back(self, aged_sim):
         img = export_topaa(aged_sim)
-        img.group_blocks[0] = corrupt_bytes(img.group_blocks[0], 8, rng=2)
+        img.pages["group:0"] = corrupt_bytes(img.pages["group:0"], 8, rng=2)
         rep = simulate_mount(aged_sim, img)
         assert rep.fallbacks == {"group:0": "bad-crc"}
         assert aged_sim.store.groups[0].cache.fully_populated
@@ -101,7 +101,7 @@ class TestFaultyMountReads:
         inj = FaultInjector(seed=1)
         attach_everywhere(aged_sim, inj)
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=2)
         rep = simulate_mount(aged_sim, img)
         assert rep.transient_retries == 2
@@ -113,7 +113,7 @@ class TestFaultyMountReads:
         inj = FaultInjector(seed=1)
         attach_everywhere(aged_sim, inj)
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.TRANSIENT_READ, count=10)
         # The typed exhaustion error subclasses TransientIOError, so
         # callers keyed on the old class keep working.
@@ -126,7 +126,7 @@ class TestFaultyMountReads:
         inj = FaultInjector(seed=1)
         attach_everywhere(aged_sim, inj)
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
         inj.arm("vol:volB", FaultKind.UNRECONSTRUCTABLE)
         rep = simulate_mount(aged_sim, img)
         assert rep.repairs == ["vol:volB"]
@@ -137,8 +137,8 @@ class TestFaultyMountReads:
 
     def test_cps_run_after_degraded_mount(self, aged_sim):
         img = export_topaa(aged_sim)
-        img.vol_pages["volB"] = corrupt_bytes(img.vol_pages["volB"], 8, rng=2)
-        del img.vol_pages["volA"]
+        img.pages["vol:volB"] = corrupt_bytes(img.pages["vol:volB"], 8, rng=2)
+        del img.pages["vol:volA"]
         simulate_mount(aged_sim, img)
         aged_sim.run(RandomOverwriteWorkload(aged_sim, ops_per_cp=1024, seed=7), 5)
         aged_sim.verify_consistency()
