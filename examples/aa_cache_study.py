@@ -5,8 +5,8 @@ example scale.
 Ages one all-SSD system per configuration (both caches / FlexVol only /
 aggregate only / neither), measures the random-overwrite service
 costs, and prints the latency-vs-throughput sweep — the same analysis
-the full benchmark (benchmarks/bench_fig6_aa_cache.py) runs with
-stricter assertions.
+the full-size figure (``python -m repro bench --experiments fig6``)
+runs, with its claims asserted in tests/bench/test_figures.py.
 
 Run:  python examples/aa_cache_study.py
 """

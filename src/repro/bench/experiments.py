@@ -1,11 +1,15 @@
-"""Library-level experiment runners for every evaluation figure.
+"""Work units and table renderers for every evaluation figure.
 
-Each ``run_figN`` function reproduces one figure of the paper's
-section 4 end to end — building the workload and system the figure
-used, measuring the quantities it reports, and returning both the raw
-results and formatted text tables.  The pytest benchmarks under
-``benchmarks/`` call these runners and assert the paper's shape claims;
-the command-line interface (``python -m repro``) calls them directly.
+Each figure of the paper's section 4 splits into per-unit functions
+(``run_fig6_config``, ``run_fig7``, ``run_fig10_size``, ...) that build
+the workload and system one configuration used and measure the
+quantities the figure reports; :mod:`repro.bench.runner` schedules
+them as ``repro bench`` units.  The ``figN_tables`` renderers turn an
+experiment's unit results (``{unit label: {"metrics", "timing"}}``, the
+runner's per-unit documents) back into the figure's text tables plus
+its one-line headline, and :func:`figure_tables` renders every figure
+in a trajectory document.  ``tests/bench/test_figures.py`` checks the
+paper's shape claims on the same documents.
 
 ``quick=True`` shrinks the configurations for interactive use; the
 shipped EXPERIMENTS.md numbers come from the full-size runs.
@@ -13,7 +17,7 @@ shipped EXPERIMENTS.md numbers come from the full-size runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,9 +47,12 @@ from .harness import (
 )
 
 __all__ = [
+    "FIGURE_TABLES",
+    "experiment_units",
+    "figure_tables",
+    "config_results",
     "FIG6_CONFIGS",
     "FIG6_OFFERED",
-    "run_fig6",
     "run_fig6_config",
     "fig6_tables",
     "Fig7Result",
@@ -54,17 +61,15 @@ __all__ = [
     "FIG8_SIZINGS",
     "FIG8_ERASE_UNIT",
     "FIG8_OFFERED",
-    "run_fig8",
     "run_fig8_config",
     "fig8_tables",
     "FIG9_BLOCKS_PER_DISK",
     "FIG9_ZONE_BLOCKS",
     "FIG9_OFFERED",
     "FIG9_SIZINGS",
-    "run_fig9",
     "run_fig9_config",
+    "fig9_curves",
     "fig9_tables",
-    "run_fig10",
     "run_fig10_size",
     "run_fig10_count",
     "fig10_tables",
@@ -100,26 +105,37 @@ def run_fig6_config(
     return measure_random_overwrite(sim, label, n_cps=15 if quick else 40)
 
 
-def run_fig6(*, quick: bool = False, seed: int = 42) -> dict[str, ConfigResult]:
-    """Age and measure all four Figure 6 configurations."""
+def config_results(units: dict[str, dict]) -> dict[str, ConfigResult]:
+    """Rebuild each unit's :class:`ConfigResult` from its ``asdict``
+    payload (Figures 6 and 8; the payload also carries the derived
+    ``capacity_ops``, which the dataclass recomputes)."""
+    names = [f.name for f in fields(ConfigResult)]
     return {
-        label: run_fig6_config(label, quick=quick, seed=seed)
-        for label in FIG6_CONFIGS
+        label: ConfigResult(**{n: u["metrics"][n] for n in names})
+        for label, u in units.items()
     }
 
 
-def fig6_tables(results: dict[str, ConfigResult]) -> list[str]:
-    """Format the Figure 6 series and the section 4.1 quantities."""
-    rows = []
-    for label, r in results.items():
-        for p in r.curve(FIG6_OFFERED):
-            rows.append(
-                [label, p.offered_per_client, p.achieved_per_client, p.latency_ms]
-            )
-    t1 = fmt_table(
+def _curve_table(curves: dict[str, list], title: str) -> str:
+    """One latency-vs-achieved-throughput series per configuration."""
+    return fmt_table(
         ["config", "offered/client (ops/s)", "achieved/client (ops/s)", "latency (ms)"],
-        rows,
-        title="Figure 6: latency vs achieved throughput "
+        [
+            [label, p.offered_per_client, p.achieved_per_client, p.latency_ms]
+            for label, points in curves.items()
+            for p in points
+        ],
+        title=title,
+    )
+
+
+def fig6_tables(units: dict[str, dict]) -> list[str]:
+    """The Figure 6 series, the section 4.1 quantities and the
+    both-vs-neither peak-throughput headline."""
+    results = config_results(units)
+    t1 = _curve_table(
+        {label: r.curve(FIG6_OFFERED) for label, r in results.items()},
+        "Figure 6: latency vs achieved throughput "
         "(8KiB random overwrites, aged all-SSD)",
     )
     t2 = fmt_table(
@@ -148,7 +164,12 @@ def fig6_tables(results: dict[str, ConfigResult]) -> list[str]:
         ],
         title="Section 4.1 in-text quantities",
     )
-    return [t1, t2]
+    gain = (
+        results["both caches"].capacity_ops
+        / results["neither (baseline)"].capacity_ops
+        - 1
+    )
+    return [t1, t2, f"Peak-throughput gain, both caches vs neither: {gain:+.1%}"]
 
 
 # ----------------------------------------------------------------------
@@ -252,40 +273,46 @@ def run_fig7(*, quick: bool = False, seed: int = 24) -> Fig7Result:
     return res
 
 
-def fig7_tables(res: Fig7Result) -> list[str]:
-    rows = []
-    for gi in range(FIG7_N_GROUPS):
-        aged = "aged 50%" if gi in FIG7_AGED_GROUPS else "fresh"
-        for di in range(4):
-            rows.append(
-                [f"RG{gi} ({aged})", f"disk{di}", res.blocks_per_disk[gi][di] / res.seconds]
-            )
+def fig7_tables(units: dict[str, dict]) -> list[str]:
+    """Per-disk blocks/s, per-group tetrises/s and the fresh-vs-aged
+    block ratio of the Figure 7 OLTP unit."""
+    m = units["oltp"]["metrics"]
+    state = [
+        "aged 50%" if gi in m["aged_groups"] else "fresh"
+        for gi in range(FIG7_N_GROUPS)
+    ]
     t1 = fmt_table(
         ["RAID group", "disk", "blocks/s"],
-        rows,
+        [
+            [f"RG{gi} ({state[gi]})", f"disk{di}", per_s]
+            for gi, per_disk in enumerate(m["blocks_per_disk_per_s"])
+            for di, per_s in enumerate(per_disk)
+        ],
         title=(
             "Figure 7 (top): blocks/s per disk under OLTP at "
             f"{FIG7_CLIENT_OPS_PER_SEC} ops/s"
         ),
     )
-    rows = [
-        [
-            f"RG{gi}",
-            "aged 50%" if gi in FIG7_AGED_GROUPS else "fresh",
-            res.tetrises[gi] / res.seconds,
-            res.blocks[gi] / res.seconds,
-            res.blocks[gi] / res.tetrises[gi] if res.tetrises[gi] else 0.0,
-            res.partials[gi] / res.stripes[gi] if res.stripes[gi] else 0.0,
-        ]
-        for gi in range(FIG7_N_GROUPS)
-    ]
+    tetrises, blocks = m["tetrises_per_s"], m["blocks_per_s"]
     t2 = fmt_table(
         ["RAID group", "state", "tetrises/s", "blocks/s", "blocks/tetris",
          "partial stripe frac"],
-        rows,
+        [
+            [
+                f"RG{gi}",
+                state[gi],
+                tetrises[gi],
+                blocks[gi],
+                blocks[gi] / tetrises[gi] if tetrises[gi] else 0.0,
+                m["partial_stripe_fraction"][gi],
+            ]
+            for gi in range(FIG7_N_GROUPS)
+        ],
         title="Figure 7 (bottom): tetrises/s per RAID group",
     )
-    return [t1, t2]
+    fresh = np.mean([blocks[g] for g in m["fresh_groups"]])
+    aged = np.mean([blocks[g] for g in m["aged_groups"]])
+    return [t1, t2, f"fresh groups receive {fresh / aged:.2f}x the blocks of aged groups"]
 
 
 # ----------------------------------------------------------------------
@@ -333,24 +360,13 @@ def run_fig8_config(
     )
 
 
-def run_fig8(*, quick: bool = False, seed: int = 99) -> dict[str, ConfigResult]:
-    return {
-        label: run_fig8_config(label, quick=quick, seed=seed)
-        for label in FIG8_SIZINGS
-    }
-
-
-def fig8_tables(results: dict[str, ConfigResult]) -> list[str]:
-    rows = []
-    for label, r in results.items():
-        for p in r.curve(FIG8_OFFERED):
-            rows.append(
-                [label, p.offered_per_client, p.achieved_per_client, p.latency_ms]
-            )
-    t1 = fmt_table(
-        ["config", "offered/client (ops/s)", "achieved/client (ops/s)", "latency (ms)"],
-        rows,
-        title="Figure 8: latency vs achieved throughput, SSD AA sizing (aged to 85%)",
+def fig8_tables(units: dict[str, dict]) -> list[str]:
+    """The Figure 8 series, the section 4.3 SSD quantities and the
+    small/large write-amplification ratio."""
+    results = config_results(units)
+    t1 = _curve_table(
+        {label: r.curve(FIG8_OFFERED) for label, r in results.items()},
+        "Figure 8: latency vs achieved throughput, SSD AA sizing (aged to 85%)",
     )
     t2 = fmt_table(
         ["config", "write amp", "CPU us/op", "device us/op", "peak ops/s"],
@@ -361,7 +377,11 @@ def fig8_tables(results: dict[str, ConfigResult]) -> list[str]:
         ],
         title="Section 4.3 SSD quantities",
     )
-    return [t1, t2]
+    wa_ratio = (
+        results["HDD-sized AA (4k stripes)"].write_amplification
+        / results["Large AA (2 erase units)"].write_amplification
+    )
+    return [t1, t2, f"WA ratio small/large: {wa_ratio:.2f}x (paper: ~2x)"]
 
 
 # ----------------------------------------------------------------------
@@ -428,27 +448,23 @@ def run_fig9_config(label: str, *, quick: bool = False, seed: int = 3) -> dict:
     }
 
 
-def run_fig9(*, quick: bool = False, seed: int = 3) -> dict[str, dict]:
+def fig9_curves(units: dict[str, dict]) -> dict[str, list]:
+    """Latency-vs-throughput series of each Figure 9 unit."""
     return {
-        label: run_fig9_config(label, quick=quick, seed=seed)
-        for label in FIG9_SIZINGS
+        label: system_curve(u["metrics"]["cpu"], u["metrics"]["dev"], FIG9_OFFERED,
+                            nclients=NCLIENTS, cores=CORES)
+        for label, u in units.items()
     }
 
 
-def fig9_tables(results: dict[str, dict]) -> list[str]:
-    rows = []
-    for label, r in results.items():
-        pts = system_curve(r["cpu"], r["dev"], FIG9_OFFERED, nclients=NCLIENTS,
-                           cores=CORES)
-        for p in pts:
-            rows.append(
-                [label, p.offered_per_client, p.achieved_per_client, p.latency_ms]
-            )
-    t1 = fmt_table(
-        ["config", "offered/client (ops/s)", "achieved/client (ops/s)", "latency (ms)"],
-        rows,
-        title="Figure 9: latency vs achieved throughput (sequential writes, unaged SMR)",
+def fig9_tables(units: dict[str, dict]) -> list[str]:
+    """The Figure 9 series, the section 4.3 SMR quantities and the
+    aligned-AA drive-throughput gain."""
+    t1 = _curve_table(
+        fig9_curves(units),
+        "Figure 9: latency vs achieved throughput (sequential writes, unaged SMR)",
     )
+    results = {label: u["metrics"] for label, u in units.items()}
     t2 = fmt_table(
         ["config", "device us/op", "checksum-block rewrites", "drive MB/s"],
         [
@@ -457,7 +473,12 @@ def fig9_tables(results: dict[str, dict]) -> list[str]:
         ],
         title="Section 4.3 SMR quantities",
     )
-    return [t1, t2]
+    gain = (
+        results["SMR AA (zone + AZCS aligned)"]["drive_mbps"]
+        / results["HDD-sized AA (4k stripes)"]["drive_mbps"]
+        - 1
+    )
+    return [t1, t2, f"aligned-AA drive-throughput gain: {gain:+.1%} (paper: +7%)"]
 
 
 # ----------------------------------------------------------------------
@@ -523,60 +544,89 @@ def _fig10_warmup() -> None:
         _fig10_first_cp_cost(_build_fig10_sim(2, 32768 * 4), use_topaa)
 
 
-def run_fig10_size(*, quick: bool = False) -> tuple[list[list], dict]:
-    """Figure 10(A): first-CP cost vs FlexVol size (a runner work unit)."""
+def run_fig10_size(*, quick: bool = False) -> list[list]:
+    """Figure 10(A): first-CP cost vs FlexVol size (a runner work unit).
+    One row per (size, mount path); the last column is the cache-build
+    wall time."""
     size_mults = (4, 16) if quick else (4, 8, 16, 32)
     _fig10_warmup()
-    size_rows: list[list] = []
-    size_series: dict = {}
+    rows: list[list] = []
     for mult in size_mults:
         virtual = 32768 * mult
         for use_topaa in (True, False):
             sim = _build_fig10_sim(8, virtual)
             cost = _fig10_first_cp_cost(sim, use_topaa)
-            label = "TopAA" if use_topaa else "no TopAA"
-            size_rows.append([f"{virtual} blk/vol", label, cost["blocks_read"],
-                              cost["modeled_ms"], cost["build_wall_ms"]])
-            size_series[(mult, use_topaa)] = cost
-    return size_rows, size_series
+            rows.append([f"{virtual} blk/vol", "TopAA" if use_topaa else "no TopAA",
+                         cost["blocks_read"], cost["modeled_ms"], cost["build_wall_ms"]])
+    return rows
 
 
-def run_fig10_count(*, quick: bool = False) -> tuple[list[list], dict]:
-    """Figure 10(B): first-CP cost vs FlexVol count (a runner work unit)."""
+def run_fig10_count(*, quick: bool = False) -> list[list]:
+    """Figure 10(B): first-CP cost vs FlexVol count (a runner work unit),
+    in the row layout of :func:`run_fig10_size`."""
     counts = (4, 16) if quick else (4, 8, 16, 32)
     _fig10_warmup()
-    count_rows: list[list] = []
-    count_series: dict = {}
+    rows: list[list] = []
     for n_vols in counts:
         for use_topaa in (True, False):
             sim = _build_fig10_sim(n_vols, FIG10_VOL_VIRTUAL_BLOCKS)
             cost = _fig10_first_cp_cost(sim, use_topaa)
-            label = "TopAA" if use_topaa else "no TopAA"
-            count_rows.append([n_vols, label, cost["blocks_read"],
-                               cost["modeled_ms"], cost["build_wall_ms"]])
-            count_series[(n_vols, use_topaa)] = cost
-    return count_rows, count_series
+            rows.append([n_vols, "TopAA" if use_topaa else "no TopAA",
+                         cost["blocks_read"], cost["modeled_ms"], cost["build_wall_ms"]])
+    return rows
 
 
-def run_fig10(*, quick: bool = False) -> tuple[list[list], dict, list[list], dict]:
-    """Both Figure 10 sweeps: (size_rows, size_series, count_rows,
-    count_series)."""
-    size_rows, size_series = run_fig10_size(quick=quick)
-    count_rows, count_series = run_fig10_count(quick=quick)
-    return size_rows, size_series, count_rows, count_series
-
-
-def fig10_tables(size_rows: list[list], count_rows: list[list]) -> list[str]:
+def fig10_tables(units: dict[str, dict]) -> list[str]:
+    """Figure 10(A) and 10(B); the cache-build wall column comes from
+    each unit's ``timing.build_wall_ms``."""
+    size, count = (
+        [row + [wall] for row, wall in
+         zip(units[u]["metrics"]["rows"], units[u]["timing"]["build_wall_ms"])]
+        for u in ("size", "count")
+    )
     t1 = fmt_table(
         ["volume size", "mount path", "blocks read", "first-CP modeled (ms)",
          "cache-build wall (ms)"],
-        size_rows,
+        size,
         title="Figure 10(A): first CP time vs FlexVol size (8 volumes)",
     )
     t2 = fmt_table(
         ["volumes", "mount path", "blocks read", "first-CP modeled (ms)",
          "cache-build wall (ms)"],
-        count_rows,
+        count,
         title="Figure 10(B): first CP time vs number of FlexVols",
     )
     return [t1, t2]
+
+
+# ----------------------------------------------------------------------
+# Rendering a trajectory document
+# ----------------------------------------------------------------------
+
+#: Figure renderers by bench experiment, in the paper's order.
+FIGURE_TABLES = {
+    "fig6": fig6_tables,
+    "fig7": fig7_tables,
+    "fig8": fig8_tables,
+    "fig9": fig9_tables,
+    "fig10": fig10_tables,
+}
+
+
+def experiment_units(doc: dict, experiment: str) -> dict[str, dict]:
+    """One experiment's unit results in a ``repro bench`` trajectory
+    document, keyed by unit label (the renderers' input)."""
+    return {
+        r["unit"]: r for r in doc["units"].values() if r["experiment"] == experiment
+    }
+
+
+def figure_tables(doc: dict) -> list[str]:
+    """Tables and headlines of every figure experiment in a trajectory
+    document (other experiments render nothing)."""
+    out: list[str] = []
+    for exp, render in FIGURE_TABLES.items():
+        units = experiment_units(doc, exp)
+        if units:
+            out.extend(render(units))
+    return out

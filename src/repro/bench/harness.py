@@ -1,11 +1,13 @@
 """Shared benchmark harness: standard configurations, measurement
-phases, and table formatting used by every figure-reproduction bench.
+phases, and table formatting.
 
-Each bench in ``benchmarks/`` regenerates one of the paper's evaluation
-figures: it builds the workload and system the figure used (with the
-DESIGN.md substitutions), measures the same quantities, prints the same
-rows/series, and appends the output to ``benchmarks/results/`` so the
-tables survive pytest's output capture.
+The figure units of :mod:`repro.bench.experiments` build the workload
+and system each figure used (with the DESIGN.md substitutions) from
+these pieces and render their tables with :func:`fmt_table`.  The
+pytest studies under ``benchmarks/`` (ablations, cache overhead,
+scaling) use them too; :func:`emit` prints their tables and keeps a
+copy under ``benchmarks/results/`` so the tables survive pytest's
+output capture.
 """
 
 from __future__ import annotations
@@ -84,14 +86,11 @@ class ConfigResult:
 
 
 def _all_metafiles(sim: WaflSim) -> list:
-    """Every bitmap metafile in the simulation (volumes + store)."""
-    mfs = [v.metafile for v in sim.vols.values()]
-    groups = getattr(sim.store, "groups", None)
-    if groups is not None:
-        mfs.extend(g.metafile for g in groups)
-    else:
-        mfs.append(sim.store.metafile)
-    return mfs
+    """Every bitmap metafile in the simulation: the volumes', then each
+    physical instance's (RAID groups and object tiers alike)."""
+    return [v.metafile for v in sim.vols.values()] + [
+        fs.metafile for _, fs, _ in sim.store.physical_instances()
+    ]
 
 
 def set_bitmap_checks(sim: WaflSim, check: bool) -> None:

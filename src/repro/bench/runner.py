@@ -1,5 +1,5 @@
 """Parallel benchmark runner: fan experiment configurations out to a
-process pool and persist a JSON performance trajectory.
+process pool and persist one JSON trajectory document per run.
 
 Every figure reproduction decomposes into independent *work units* (one
 aged-and-measured configuration each), so the full suite parallelizes
@@ -13,11 +13,12 @@ metrics.  The runner
   from timing fields (see :func:`strip_timing`);
 * executes units with :class:`concurrent.futures.ProcessPoolExecutor`
   (``workers=1`` runs in-process, the serial reference);
-* writes one JSON document per experiment under
-  ``benchmarks/results/bench_<experiment>.json`` and a top-level
-  trajectory summary ``BENCH_PR3.json`` (wall time per unit, aggregate
-  units/s, peak capacity per configuration, host metadata, and the
-  optimization before/after record of the PR that introduced it);
+* writes the trajectory document (every unit's metrics and timing,
+  aggregate units/s, peak capacity per configuration, host metadata,
+  and the macro unit's before/after record) to one path, by default
+  the untracked :data:`RESULTS_PATH` (:func:`write_results`); the
+  figure tables render from the same document
+  (:func:`repro.bench.experiments.figure_tables`);
 * optionally diffs the deterministic metrics against a previous
   trajectory (:func:`compare_to_baseline`) as a perf-regression gate.
 
@@ -28,7 +29,6 @@ a layering violation (simlint L201); late binding keeps the dependency
 optional and inverted, exactly like the ``audit_hook`` parameter of
 :func:`~repro.bench.harness.measure_random_overwrite`.
 """
-
 from __future__ import annotations
 
 import importlib
@@ -47,7 +47,7 @@ from .harness import RESULTS_DIR, ConfigResult
 
 __all__ = [
     "SCHEMA",
-    "TRAJECTORY_NAME",
+    "RESULTS_PATH",
     "MACRO_BASELINE",
     "UnitSpec",
     "plan_units",
@@ -60,10 +60,9 @@ __all__ = [
 ]
 
 SCHEMA = "repro-bench/1"
-TRAJECTORY_NAME = "BENCH_PR10.json"
 
-#: Repo root (two levels above ``benchmarks/results``).
-_REPO_ROOT = os.path.normpath(os.path.join(RESULTS_DIR, "..", ".."))
+#: Default trajectory path (gitignored: a run never rewrites tracked files).
+RESULTS_PATH = os.path.join(RESULTS_DIR, "bench.json")
 
 #: Keys that vary run to run (wall clocks, host identity, pool size).
 #: :func:`strip_timing` removes them so two runs of the same units can
@@ -141,6 +140,10 @@ def _unit_fig7(spec: UnitSpec) -> dict:
             float(p) / float(s) if s else 0.0
             for p, s in zip(res.partials.tolist(), res.stripes.tolist())
         ],
+        # Raw counts: the aged-vs-fresh partial-stripe claim is a
+        # ratio of sums, not a mean of the per-group fractions.
+        "partials": res.partials.tolist(),
+        "stripes": res.stripes.tolist(),
         "aged_groups": res.aged(),
         "fresh_groups": res.fresh(),
     }
@@ -163,7 +166,7 @@ def _unit_fig10(spec: UnitSpec) -> dict:
     from .experiments import run_fig10_count, run_fig10_size
 
     fn = run_fig10_size if spec.unit == "size" else run_fig10_count
-    rows, _series = fn(quick=spec.quick)
+    rows = fn(quick=spec.quick)
     # The last column is the cache-build *wall* time: nondeterministic,
     # so it rides in the timing section (stripped for comparisons).
     return {
@@ -316,8 +319,8 @@ def plan_units(
     """The deterministic unit list for one run.
 
     With ``seed=None`` every unit uses its experiment's canonical seed
-    (results match the ``repro figN`` commands); an explicit base seed
-    derives a distinct-but-deterministic seed per unit.
+    (the one EXPERIMENTS.md's numbers come from); an explicit base
+    seed derives a distinct-but-deterministic seed per unit.
 
     Quick units always arm the invariant auditor: the quick sweep is
     the CI bench-smoke, where the cheap configurations exist to catch
@@ -505,39 +508,15 @@ def run_bench(
     return doc
 
 
-def write_results(
-    doc: dict,
-    *,
-    out_dir: str | None = None,
-    trajectory_path: str | None = None,
-) -> list[str]:
-    """Persist per-experiment JSON files plus the trajectory summary;
-    returns the paths written."""
-    out_dir = out_dir or RESULTS_DIR
-    trajectory_path = trajectory_path or os.path.join(_REPO_ROOT, TRAJECTORY_NAME)
-    os.makedirs(out_dir, exist_ok=True)
-    paths: list[str] = []
-    by_exp: dict[str, dict] = {}
-    for key, res in doc["units"].items():
-        by_exp.setdefault(res["experiment"], {})[res["unit"]] = res
-    for exp, units in by_exp.items():
-        per_exp = {
-            "schema": SCHEMA,
-            "kind": "experiment",
-            "experiment": exp,
-            "quick": doc["quick"],
-            "units": units,
-        }
-        path = os.path.join(out_dir, f"bench_{exp}.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(per_exp, f, indent=2, sort_keys=True)
-            f.write("\n")
-        paths.append(path)
-    with open(trajectory_path, "w", encoding="utf-8") as f:
+def write_results(doc: dict, path: str | None = None) -> str:
+    """Persist the trajectory document (default :data:`RESULTS_PATH`);
+    returns the path written."""
+    path = path or RESULTS_PATH
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    paths.append(trajectory_path)
-    return paths
+    return path
 
 
 # ----------------------------------------------------------------------

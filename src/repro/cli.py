@@ -1,8 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Regenerates the paper's evaluation figures and runs small demos without
-pytest.  ``--quick`` shrinks each experiment for interactive use (the
-shipped EXPERIMENTS.md numbers come from the full-size benchmark runs).
+Regenerates the paper's evaluation figures (``repro bench``) and runs
+small demos without pytest.  ``--quick`` shrinks each experiment for
+interactive use (the shipped EXPERIMENTS.md numbers come from the
+full-size runs).
 """
 
 from __future__ import annotations
@@ -32,16 +33,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "AZCS_REGION_BLOCKS",
     ):
         print(f"  {name:26s} = {getattr(c, name)}")
-    print()
-    print("commands: fig6 fig7 fig8 fig9 fig10 all bench profile traffic "
-          "faults crash lint audit quickstart info")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Parallel benchmark sweep with JSON perf-trajectory output."""
+    """Parallel benchmark sweep: figure tables on stdout, one JSON
+    trajectory document on disk."""
     import os
 
+    from repro.bench.experiments import figure_tables
     from repro.bench.runner import (
         ALL_EXPERIMENTS,
         compare_to_baseline,
@@ -74,8 +74,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         trace=args.trace,
         progress=progress,
     )
-    paths = write_results(doc, out_dir=args.out or None,
-                          trajectory_path=args.trajectory or None)
+    for text in figure_tables(doc):
+        print("\n" + text)
+    path = write_results(doc, args.out)
     t = doc["timing"]
     print(f"\n{t['units']} unit(s) in {t['total_wall_s']:.2f}s "
           f"({t['units_per_s']:.2f} units/s, {workers} worker(s))")
@@ -86,8 +87,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({opt['speedup_measure']:.2f}x); aging "
               f"{opt['before']['age_wall_s']:.2f}s -> "
               f"{opt['after']['age_wall_s']:.2f}s ({opt['speedup_age']:.2f}x)")
-    for p in paths:
-        print(f"wrote {p}")
+    print(f"wrote {path}")
     if args.baseline:
         import json
 
@@ -284,83 +284,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"  {p}")
         return 1
     print("trace reconciliation OK (traced block counts == counted)")
-    return 0
-
-
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig6_tables, run_fig6
-
-    results = run_fig6(quick=args.quick)
-    for table in fig6_tables(results):
-        print("\n" + table)
-    both = results["both caches"]
-    neither = results["neither (baseline)"]
-    print(f"\nPeak-throughput gain, both caches vs neither: "
-          f"{both.capacity_ops / neither.capacity_ops - 1:+.1%}")
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig7_tables, run_fig7
-
-    res = run_fig7(quick=args.quick)
-    for table in fig7_tables(res):
-        print("\n" + table)
-    aged, fresh = res.aged(), res.fresh()
-    print(f"\nfresh groups receive "
-          f"{res.blocks[fresh].mean() / res.blocks[aged].mean():.2f}x the blocks "
-          f"of aged groups")
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig8_tables, run_fig8
-
-    results = run_fig8(quick=args.quick)
-    for table in fig8_tables(results):
-        print("\n" + table)
-    small = results["HDD-sized AA (4k stripes)"]
-    large = results["Large AA (2 erase units)"]
-    print(f"\nWA ratio small/large: "
-          f"{small.write_amplification / large.write_amplification:.2f}x "
-          f"(paper: ~2x)")
-    return 0
-
-
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig9_tables, run_fig9
-
-    results = run_fig9(quick=args.quick)
-    for table in fig9_tables(results):
-        print("\n" + table)
-    small = results["HDD-sized AA (4k stripes)"]
-    aligned = results["SMR AA (zone + AZCS aligned)"]
-    print(f"\naligned-AA drive-throughput gain: "
-          f"{aligned['drive_mbps'] / small['drive_mbps'] - 1:+.1%} (paper: +7%)")
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import fig10_tables, run_fig10
-
-    size_rows, _s, count_rows, _c = run_fig10(quick=args.quick)
-    for table in fig10_tables(size_rows, count_rows):
-        print("\n" + table)
-    return 0
-
-
-def _cmd_all(args: argparse.Namespace) -> int:
-    for name, fn in (
-        ("fig6", _cmd_fig6),
-        ("fig7", _cmd_fig7),
-        ("fig8", _cmd_fig8),
-        ("fig9", _cmd_fig9),
-        ("fig10", _cmd_fig10),
-    ):
-        t0 = time.perf_counter()
-        print(f"\n{'=' * 72}\n== {name}\n{'=' * 72}")
-        fn(args)
-        print(f"\n[{name}: {time.perf_counter() - t0:.1f}s]")
     return 0
 
 
@@ -752,12 +675,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, doc in (
         ("info", _cmd_info, "print version and modelling constants"),
-        ("fig6", _cmd_fig6, "AA cache benefit (section 4.1)"),
-        ("fig7", _cmd_fig7, "imbalanced RAID-group aging (section 4.2)"),
-        ("fig8", _cmd_fig8, "SSD AA sizing (section 4.3)"),
-        ("fig9", _cmd_fig9, "SMR AA sizing with AZCS (section 4.3)"),
-        ("fig10", _cmd_fig10, "TopAA mount time (section 4.4)"),
-        ("all", _cmd_all, "run every figure"),
         ("faults", _cmd_faults, "chaos scenario: inject faults, recover, report"),
         ("quickstart", _cmd_quickstart, "run the quickstart demo"),
     ):
@@ -770,7 +687,8 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(fn=fn)
     p = sub.add_parser(
         "bench",
-        help="parallel benchmark sweep -> benchmarks/results/*.json + BENCH_PR3.json",
+        help="parallel benchmark sweep: the paper's Figures 6-10 (and the "
+             "macro/traffic/cluster/tier units) -> tables + one trajectory JSON",
     )
     p.add_argument("--quick", action="store_true",
                    help="smaller configurations for interactive use")
@@ -790,10 +708,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="trajectory JSON to diff deterministic metrics against")
     p.add_argument("--rtol", type=float, default=1e-9,
                    help="relative tolerance for --baseline (default bit-exact)")
-    p.add_argument("--out", metavar="DIR",
-                   help="per-experiment JSON directory (default benchmarks/results)")
-    p.add_argument("--trajectory", metavar="PATH",
-                   help="trajectory summary path (default <repo>/BENCH_PR3.json)")
+    p.add_argument("--out", metavar="PATH",
+                   help="trajectory JSON path (default benchmarks/results/bench.json)")
     p.set_defaults(fn=_cmd_bench)
     p = sub.add_parser(
         "traffic",

@@ -64,23 +64,14 @@ class TestDeterminism:
         # ...and the full documents carry them.
         assert "wall_s" in json.dumps(serial)
 
-        # Persisted per-experiment files are byte-identical too.
-        s_paths = write_results(
-            serial,
-            out_dir=str(tmp_path / "serial"),
-            trajectory_path=str(tmp_path / "serial.json"),
+        # The persisted documents are byte-identical too.
+        s_path = write_results(serial, str(tmp_path / "serial.json"))
+        p_path = write_results(parallel, str(tmp_path / "parallel.json"))
+        sdoc = json.loads(open(s_path, encoding="utf-8").read())
+        pdoc = json.loads(open(p_path, encoding="utf-8").read())
+        assert json.dumps(strip_timing(sdoc), sort_keys=True) == json.dumps(
+            strip_timing(pdoc), sort_keys=True
         )
-        p_paths = write_results(
-            parallel,
-            out_dir=str(tmp_path / "parallel"),
-            trajectory_path=str(tmp_path / "parallel.json"),
-        )
-        for sp, pp in zip(s_paths[:-1], p_paths[:-1]):
-            sdoc = json.loads(open(sp, encoding="utf-8").read())
-            pdoc = json.loads(open(pp, encoding="utf-8").read())
-            assert json.dumps(strip_timing(sdoc), sort_keys=True) == json.dumps(
-                strip_timing(pdoc), sort_keys=True
-            )
 
         # Regression gate: identical runs have no drifted metrics, and
         # a perturbed metric is caught.
@@ -102,16 +93,10 @@ class TestDeterminism:
         for res in doc["units"].values():
             assert res["timing"]["wall_s"] > 0
             assert res["metrics"]["drive_mbps"] > 0
-        paths = write_results(
-            doc,
-            out_dir=str(tmp_path),
-            trajectory_path=str(tmp_path / "BENCH.json"),
-        )
-        per_exp = json.loads((tmp_path / "bench_fig9.json").read_text())
-        assert per_exp["schema"] == SCHEMA
-        assert per_exp["experiment"] == "fig9"
-        assert (tmp_path / "BENCH.json").exists()
-        assert len(paths) == 2
+        path = write_results(doc, str(tmp_path / "BENCH.json"))
+        assert path == str(tmp_path / "BENCH.json")
+        assert json.loads((tmp_path / "BENCH.json").read_text())["schema"] == SCHEMA
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH.json"]
 
 
 class TestUnits:

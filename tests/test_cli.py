@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import json
+import os
+
+import numpy as np
 import pytest
 
-from repro.bench import ConfigResult, fmt_table
+from repro.bench import (
+    RESULTS_DIR,
+    ConfigResult,
+    fmt_table,
+    popcount_audit,
+    set_bitmap_checks,
+)
 from repro.cli import main
+from repro.common.config import AggregateSpec, TierSpec, VolumeDecl
+from repro.common.errors import BitmapError
+from repro.fs import WaflSim
 
 
 class TestCLI:
@@ -14,22 +27,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "ICPP 2018" in out
         assert "BLOCK_SIZE" in out
+        assert "fig6" not in out
 
-    def test_fig10_quick(self, capsys):
-        assert main(["fig10", "--quick"]) == 0
+    def test_fig10_quick(self, capsys, tmp_path):
+        assert main(["bench", "--quick", "--experiments", "fig10",
+                     "--out", str(tmp_path / "run.json")]) == 0
         out = capsys.readouterr().out
         assert "Figure 10(A)" in out
         assert "Figure 10(B)" in out
         assert "TopAA" in out
 
-    def test_fig9_quick(self, capsys):
-        assert main(["fig9", "--quick"]) == 0
+    def test_fig9_quick(self, capsys, tmp_path):
+        def results_dir():
+            if not os.path.isdir(RESULTS_DIR):
+                return {}
+            return {e.name: e.stat().st_mtime_ns for e in os.scandir(RESULTS_DIR)}
+
+        before = results_dir()
+        out_path = tmp_path / "run.json"
+        assert main(["bench", "--quick", "--experiments", "fig9",
+                     "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "drive-throughput gain" in out
+        assert "Figure 9:" in out
+        assert "aligned-AA drive-throughput gain" in out
+        # The run writes its one document and nothing under the results dir.
+        assert json.loads(out_path.read_text())["units"]
+        assert os.listdir(tmp_path) == ["run.json"]
+        assert results_dir() == before
 
     def test_unknown_command_exits(self):
-        with pytest.raises(SystemExit):
-            main(["definitely-not-a-command"])
+        # The figures run only through `repro bench`.
+        for command in ("definitely-not-a-command", "fig6", "all"):
+            with pytest.raises(SystemExit):
+                main([command])
 
     def test_lint_clean_tree(self, capsys):
         assert main(["lint"]) == 0
@@ -86,8 +116,6 @@ class TestHarness:
         assert r.capacity_ops == pytest.approx(50_000)
 
     def test_config_result_curve_monotone_latency(self):
-        import numpy as np
-
         r = ConfigResult(
             label="x", cpu_us_per_op=100.0, device_us_per_op=10.0,
             agg_selected_free=0, vol_selected_free=0, aggregate_free=0,
@@ -97,3 +125,24 @@ class TestHarness:
         pts = r.curve(np.linspace(100, 20000, 10))
         lats = [p.latency_ms for p in pts]
         assert lats == sorted(lats)
+
+    @pytest.mark.parametrize("tier", [0, 1], ids=["ssd", "object"])
+    def test_bitmap_helpers_reach_every_tier(self, tier):
+        sim = WaflSim.build(
+            AggregateSpec(
+                tiers=(
+                    TierSpec(label="ssd", media="ssd", ndata=3, blocks_per_disk=16384),
+                    TierSpec(label="s3", media="object", raid="none", nblocks=32768),
+                ),
+                volumes=(VolumeDecl("v", logical_blocks=8192),),
+            ),
+            seed=0,
+        )
+        set_bitmap_checks(sim, False)
+        instances = [fs for _, fs, _ in sim.store.physical_instances()]
+        assert len(instances) == 2
+        assert not any(fs.metafile.bitmap.check for fs in instances)
+        popcount_audit(sim)
+        instances[tier].metafile.bitmap._allocated += 5
+        with pytest.raises(BitmapError):
+            popcount_audit(sim)
